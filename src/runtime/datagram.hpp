@@ -14,9 +14,15 @@
 //     u64 fragUid       message id within the link's fragment space
 //     u32 fragIndex     this chunk's position
 //     u32 fragCount     total chunks (1 = unfragmented fast path)
+//     varint count, u64 seq[count]   acks riding on this datagram (the
+//                       receiver's acks for the reverse link; usually 0)
 //     bytes chunk       a slice of the serialized message body
 //   kAck:
-//     varint count, u64 seq[count]   cumulative batch of acked seqs
+//     varint count, u64 seq[count]   batch of acked seqs
+//
+// Both kinds carry acks in the same layout: a node owes its peer an ack
+// per data datagram received and pays it on the next data datagram it
+// sends that way, or in a standalone kAck when no traffic is going back.
 //
 // The serialized message *body* (what fragmentation slices) is
 //   u32 type, u64 msgId, bytes payload
@@ -56,7 +62,7 @@ struct Datagram {
   uint32_t fragIndex = 0;
   uint32_t fragCount = 1;
   std::string chunk;
-  // --- kAck ---
+  // --- both kinds (acks of the reverse link's data) ---
   std::vector<uint64_t> ackedSeqs;
 };
 

@@ -9,16 +9,14 @@
 //     function of the seed, so the fuzz oracles keep their guarantees;
 //   * runtime::RealtimeContext — thread-per-node execution over an
 //     in-process MPSC channel transport with batched drains; time is the
-//     host's steady clock.
+//     host's steady clock (runtime::UdpContext puts a UDP wire in front
+//     of it).
 //
 // Thread-confinement contract (what makes the same single-threaded node
 // code safe under real threads): every callback belonging to node N —
 // its message handler, and any timer armed with owner == N — is invoked
 // on N's worker thread.  A node that never shares state outside its
-// callbacks is a correct realtime node with zero locking.  Nodes
-// registered with more than one worker (RealtimeContext::setWorkers)
-// opt out of this contract and must be internally thread-safe (see
-// ConcurrentWindowStore for the sharded data plane built for that).
+// callbacks is a correct realtime node with zero locking.
 #pragma once
 
 #include <functional>

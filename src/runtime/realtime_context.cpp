@@ -1,13 +1,33 @@
 #include "runtime/realtime_context.hpp"
 
+#include <poll.h>
+#include <sys/eventfd.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cassert>
+#include <ctime>
+#include <stdexcept>
+#include <utility>
 
 namespace retro::runtime {
 
 namespace {
 constexpr auto kGreater = std::greater<>{};
 }  // namespace
+
+RealtimeContext::Node::Node()
+    : wakeFd(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC)) {
+  if (wakeFd < 0) throw std::runtime_error("RealtimeContext: eventfd() failed");
+}
+
+RealtimeContext::Node::~Node() { ::close(wakeFd); }
+
+void RealtimeContext::wake(Node& node) {
+  const uint64_t one = 1;
+  // Cannot fail short of a counter overflow; a full counter still wakes.
+  (void)!::write(node.wakeFd, &one, sizeof(one));
+}
 
 RealtimeContext::RealtimeContext(RealtimeConfig config)
     : config_(config), base_(std::chrono::steady_clock::now()) {}
@@ -39,13 +59,10 @@ void RealtimeContext::registerNode(NodeId node, Handler handler) {
     Node* rec = find(node);
     assert(rec != nullptr && "post-start registerNode requires an existing node");
     if (rec == nullptr) return;
-    {
-      std::lock_guard lk(rec->mu);
-      rec->handler = std::move(handler);
-      rec->connected = true;
-      rec->inbox.clear();  // anything queued at the dead incarnation is lost
-    }
-    rec->cv.notify_all();
+    std::lock_guard lk(rec->mu);
+    rec->handler = std::move(handler);
+    rec->connected = true;
+    rec->inbox.clear();  // anything queued at the dead incarnation is lost
     return;
   }
   auto& rec = nodes_[node];
@@ -54,11 +71,11 @@ void RealtimeContext::registerNode(NodeId node, Handler handler) {
   rec->connected = true;
 }
 
-void RealtimeContext::setWorkers(NodeId node, size_t k) {
-  assert(!started_ && "setWorkers before start()");
-  auto& rec = nodes_[node];
-  if (!rec) rec = std::make_unique<Node>();
-  rec->workers = k == 0 ? 1 : k;
+void RealtimeContext::attachSocket(NodeId node, SocketHooks hooks) {
+  assert(!started_ && "attachSocket before start()");
+  Node* rec = find(node);
+  assert(rec != nullptr && "attachSocket for an unregistered node");
+  if (rec != nullptr) rec->socket = std::move(hooks);
 }
 
 void RealtimeContext::disconnect(NodeId node) {
@@ -91,6 +108,7 @@ uint64_t RealtimeContext::send(Message message) {
     messagesDropped_.fetch_add(1, std::memory_order_relaxed);
     return id;
   }
+  bool parked = false;
   {
     std::lock_guard lk(rec->mu);
     if (!rec->connected) {
@@ -98,8 +116,9 @@ uint64_t RealtimeContext::send(Message message) {
       return id;
     }
     rec->inbox.push_back(std::move(message));
+    parked = std::exchange(rec->parked, false);
   }
-  rec->cv.notify_one();
+  if (parked) wake(*rec);
   return id;
 }
 
@@ -109,12 +128,18 @@ void RealtimeContext::schedule(NodeId owner, TimeMicros delay,
   assert(rec != nullptr && "schedule() for an unregistered node");
   if (rec == nullptr) return;
   if (delay < 0) delay = 0;
+  bool parked = false;
   {
     std::lock_guard lk(rec->mu);
-    rec->timers.push_back(Timer{now() + delay, rec->timerSeq++, std::move(fn)});
+    const uint64_t seq = rec->timerSeq++;
+    rec->timers.push_back(Timer{now() + delay, seq, std::move(fn)});
     std::push_heap(rec->timers.begin(), rec->timers.end(), kGreater);
+    // A parked worker only needs waking if its deadline moved earlier.
+    if (rec->timers.front().seq == seq) {
+      parked = std::exchange(rec->parked, false);
+    }
   }
-  rec->cv.notify_one();
+  if (parked) wake(*rec);
 }
 
 void RealtimeContext::scheduleDaemon(NodeId owner, TimeMicros delay,
@@ -129,25 +154,22 @@ void RealtimeContext::start() {
   started_ = true;
   for (auto& [id, rec] : nodes_) {
     (void)id;
-    for (size_t w = 0; w < rec->workers; ++w) {
-      rec->threads.emplace_back([this, node = rec.get()] { workerLoop(*node); });
-    }
+    rec->thread = std::thread([this, node = rec.get()] { workerLoop(*node); });
   }
 }
 
 void RealtimeContext::stop() {
   if (joined_) return;
   stop_.store(true, std::memory_order_release);
+  // Unconditional: the eventfd stays readable until the worker reads it,
+  // so a worker between its last stop_ check and ppoll() still wakes.
   for (auto& [id, rec] : nodes_) {
     (void)id;
-    rec->cv.notify_all();
+    wake(*rec);
   }
   for (auto& [id, rec] : nodes_) {
     (void)id;
-    for (auto& t : rec->threads) {
-      if (t.joinable()) t.join();
-    }
-    rec->threads.clear();
+    if (rec->thread.joinable()) rec->thread.join();
   }
   joined_ = true;
 }
@@ -157,34 +179,31 @@ void RealtimeContext::workerLoop(Node& node) {
   std::vector<std::function<void()>> due;
   Handler handler;
   for (;;) {
+    if (node.socket.drain) node.socket.drain();
     {
-      std::unique_lock lk(node.mu);
-      for (;;) {
-        if (stop_.load(std::memory_order_acquire)) return;
-        const TimeMicros t = now();
-        while (!node.timers.empty() && node.timers.front().when <= t) {
-          std::pop_heap(node.timers.begin(), node.timers.end(), kGreater);
-          due.push_back(std::move(node.timers.back().fn));
-          node.timers.pop_back();
-        }
-        const size_t take =
-            std::min(node.inbox.size(), config_.drainBatchLimit);
-        for (size_t i = 0; i < take; ++i) {
-          batch.push_back(std::move(node.inbox.front()));
-          node.inbox.pop_front();
-        }
-        if (!batch.empty() || !due.empty()) break;
-        if (node.timers.empty()) {
-          node.cv.wait(lk);
-        } else {
-          node.cv.wait_until(
-              lk, base_ + std::chrono::microseconds(node.timers.front().when));
-        }
+      std::lock_guard lk(node.mu);
+      if (stop_.load(std::memory_order_acquire)) return;
+      node.parked = false;
+      const TimeMicros t = now();
+      while (!node.timers.empty() && node.timers.front().when <= t) {
+        std::pop_heap(node.timers.begin(), node.timers.end(), kGreater);
+        due.push_back(std::move(node.timers.back().fn));
+        node.timers.pop_back();
+      }
+      const size_t take = std::min(node.inbox.size(), config_.drainBatchLimit);
+      for (size_t i = 0; i < take; ++i) {
+        batch.push_back(std::move(node.inbox.front()));
+        node.inbox.pop_front();
       }
       // Snapshot the handler under the lock: a crash/restart cycle may
       // re-register a new one concurrently; this batch keeps the one it
       // was drained under.
-      handler = node.handler;
+      if (!batch.empty()) handler = node.handler;
+    }
+    if (batch.empty() && due.empty()) {
+      if (node.socket.flush) node.socket.flush(/*parking=*/true);
+      park(node);
+      continue;
     }
     if (!batch.empty()) {
       drains_.fetch_add(1, std::memory_order_relaxed);
@@ -201,6 +220,31 @@ void RealtimeContext::workerLoop(Node& node) {
     }
     due.clear();
     batch.clear();
+    if (node.socket.flush) node.socket.flush(/*parking=*/false);
+  }
+}
+
+void RealtimeContext::park(Node& node) {
+  timespec timeout{};
+  timespec* timeoutPtr = nullptr;
+  {
+    std::lock_guard lk(node.mu);
+    if (stop_.load(std::memory_order_acquire) || !node.inbox.empty()) return;
+    if (!node.timers.empty()) {
+      const TimeMicros wait = node.timers.front().when - now();
+      if (wait <= 0) return;
+      timeout.tv_sec = wait / 1'000'000;
+      timeout.tv_nsec = (wait % 1'000'000) * 1'000;
+      timeoutPtr = &timeout;
+    }
+    node.parked = true;
+  }
+  pollfd fds[2] = {{node.wakeFd, POLLIN, 0}, {node.socket.fd, POLLIN, 0}};
+  const nfds_t count = node.socket.fd >= 0 ? 2 : 1;
+  if (::ppoll(fds, count, timeoutPtr, nullptr) > 0 &&
+      (fds[0].revents & POLLIN) != 0) {
+    uint64_t drained = 0;
+    (void)!::read(node.wakeFd, &drained, sizeof(drained));
   }
 }
 

@@ -7,15 +7,22 @@
 //     in one swap (batched drain — one lock round per batch, not per
 //     message) and then runs handlers lock-free.
 //   * Timers: a per-node min-heap serviced by the node's worker between
-//     drains; condition-variable waits are bounded by the next deadline.
+//     drains.
+//   * One wait path: an idle worker parks in ppoll() on its node's
+//     eventfd (plus its attached socket, if any) with a timeout taken
+//     from the timer heap at microsecond resolution.  A sender writes
+//     the eventfd only when the worker is parked (a flag set under the
+//     node mutex), so a busy worker costs its senders no syscall.
+//   * Sockets: attachSocket() hands a node's socket to its worker.  The
+//     worker drains it once per loop iteration before taking its batch,
+//     so a datagram costs one thread wake, and calls the owner back
+//     after each batch and before it parks (the UDP wire flushes the
+//     acks it owes there).
 //   * Time: microseconds on the host steady clock since construction.
-//   * Thread model: exactly one worker per node by default, so node
-//     state keeps the single-thread confinement the protocol code was
-//     written under.  setWorkers(node, k > 1) opts a node into a worker
-//     pool sharing its channel (its handler must then be thread-safe —
-//     the sharded ConcurrentWindowStore data plane exists for this).
+//   * Thread model: exactly one worker per node, so node state keeps the
+//     single-thread confinement the protocol code was written under.
 //
-// Lifecycle: construct -> registerNode()/setWorkers()/send() freely ->
+// Lifecycle: construct -> registerNode()/attachSocket()/send() freely ->
 // start() spawns workers -> ... -> stop() joins everything.  New-node
 // registration happens strictly before any thread exists, so node setup
 // needs no locking; messages sent before start() are delivered after it.
@@ -26,7 +33,6 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -71,16 +77,27 @@ class RealtimeContext final : public ExecutionContext {
 
   // --- realtime lifecycle ---
 
-  /// Worker threads for `node` (default 1).  Must be called before
-  /// start(); k > 1 requires a thread-safe handler.
-  void setWorkers(NodeId node, size_t k);
+  /// A socket that `node`'s worker services itself.  The worker also
+  /// waits on `fd` when it parks, calls `drain` once per loop iteration
+  /// before it takes its batch, and calls `flush(parking)` after every
+  /// batch (parking = false) and just before it parks (parking = true).
+  /// Both callbacks run on the worker thread.
+  struct SocketHooks {
+    int fd = -1;
+    std::function<void()> drain;
+    std::function<void(bool parking)> flush;
+  };
 
-  /// Spawn every node's workers.  Must be called exactly once; nodes
+  /// Attach `hooks` to an already registered node.  Must be called
+  /// before start(); the fd must stay open until stop() returns.
+  void attachSocket(NodeId node, SocketHooks hooks);
+
+  /// Spawn every node's worker.  Must be called exactly once; nodes
   /// registered earlier begin draining immediately.
   void start();
   bool started() const { return started_; }
 
-  /// Signal every worker, cancel outstanding timers, join all threads.
+  /// Wake every worker, cancel outstanding timers, join all threads.
   /// Idempotent; runs from the destructor if not called explicitly.
   /// After stop() returns, all node state is safely readable from the
   /// caller's thread (joins establish the happens-before edge).
@@ -107,20 +124,27 @@ class RealtimeContext final : public ExecutionContext {
   };
 
   struct Node {
+    Node();
+    ~Node();
     mutable std::mutex mu;
-    std::condition_variable cv;
     std::deque<Message> inbox;
     std::vector<Timer> timers;  // min-heap via std::push_heap/greater
     Handler handler;
     bool connected = true;
-    size_t workers = 1;
+    bool parked = false;  ///< worker is (about to be) in ppoll()
     uint64_t timerSeq = 0;
-    std::vector<std::thread> threads;
+    int wakeFd = -1;      ///< eventfd; sticky, so no wakeup is lost
+    SocketHooks socket;
+    std::thread thread;
   };
 
   Node* find(NodeId node);
   const Node* find(NodeId node) const;
+  /// Write the node's eventfd.  Senders call it, after releasing the
+  /// node mutex, only if they found and cleared `parked` under it.
+  static void wake(Node& node);
   void workerLoop(Node& node);
+  void park(Node& node);
 
   RealtimeConfig config_;
   std::chrono::steady_clock::time_point base_;

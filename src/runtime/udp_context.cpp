@@ -2,7 +2,6 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -25,10 +24,18 @@ uint64_t transmissionKey(NodeId from, NodeId to, uint64_t seq,
   return retryJitterKey(seq, endpoints, attempt);
 }
 
+/// Acks a data datagram may carry, and a standalone kAck at most: small
+/// enough that a full data chunk plus its acks stays under the path MTU.
+constexpr size_t kPiggybackAcks = 16;
+constexpr size_t kAcksPerDatagram = 128;
+/// Datagrams one drain reads at most, so a flooded socket cannot starve
+/// the node's timers and inbox.
+constexpr int kDrainBudget = 256;
+
 }  // namespace
 
-UdpContext::UdpContext(ExecutionContext& inner, UdpConfig config)
-    : inner_(&inner),
+UdpContext::UdpContext(RealtimeContext& inner, UdpConfig config)
+    : inner_(inner),
       config_(config),
       seqSpanLimit_(std::max<size_t>(config.dedupWindow / 2, 1)) {
   // The flight cap must sit inside the span limit or the backlog could
@@ -40,7 +47,7 @@ UdpContext::UdpContext(ExecutionContext& inner, UdpConfig config)
 UdpContext::~UdpContext() { stop(); }
 
 void UdpContext::registerNode(NodeId node, Handler handler) {
-  inner_->registerNode(node, std::move(handler));
+  inner_.registerNode(node, std::move(handler));
   std::lock_guard<std::mutex> lk(nodesMu_);
   // Post-start registration is a crash/restart: the socket, port and
   // link state all survive, only the inner handler was swapped above.
@@ -75,7 +82,12 @@ void UdpContext::registerNode(NodeId node, Handler handler) {
   // Keep an explicit setPeerAddress() override if one was installed.
   peers_.try_emplace(node,
                      PeerAddr{htonl(INADDR_LOOPBACK), addr.sin_port});
+  UdpNode* raw = n.get();
+  raw->rxBuf.resize(64 * 1024);
   nodes_.emplace(node, std::move(n));
+  inner_.attachSocket(
+      node, {raw->fd, [this, raw] { drainSocket(*raw); },
+             [this, raw](bool parking) { flushAcks(*raw, parking); }});
 }
 
 void UdpContext::setPeerAddress(NodeId node, const std::string& ipv4,
@@ -101,20 +113,14 @@ uint16_t UdpContext::portOf(NodeId node) const {
 void UdpContext::start() {
   bool expected = false;
   if (!started_.compare_exchange_strong(expected, true)) return;
-  for (auto& [id, node] : nodes_) {
-    UdpNode* n = node.get();
-    n->rx = std::thread([this, id = id, n] { rxLoop(id, *n); });
-  }
   pacer_ = std::thread([this] { pacerLoop(); });
 }
 
 void UdpContext::stop() {
   stop_.store(true, std::memory_order_release);
+  inner_.stop();  // joins the workers reading the sockets closed below
   wakePacer();
   if (pacer_.joinable()) pacer_.join();
-  for (auto& [id, node] : nodes_) {
-    if (node->rx.joinable()) node->rx.join();
-  }
   for (auto& [id, node] : nodes_) {
     if (node->fd >= 0) {
       ::close(node->fd);
@@ -164,7 +170,7 @@ uint64_t UdpContext::send(Message message) {
       !started_.load(std::memory_order_acquire) ||
       stop_.load(std::memory_order_acquire)) {
     localFallbacks_.fetch_add(1, std::memory_order_relaxed);
-    return inner_->send(std::move(message));
+    return inner_.send(std::move(message));
   }
   // nodes_/peers_ are immutable once started_; lock-free reads are safe.
   auto nit = nodes_.find(message.from);
@@ -173,7 +179,7 @@ uint64_t UdpContext::send(Message message) {
     // Unknown sender or destination: the inner transport owns the
     // semantics (it drops traffic to unregistered nodes and counts it).
     localFallbacks_.fetch_add(1, std::memory_order_relaxed);
-    return inner_->send(std::move(message));
+    return inner_.send(std::move(message));
   }
 
   const NodeId from = message.from;
@@ -198,15 +204,25 @@ uint64_t UdpContext::send(Message message) {
     d.fragIndex = static_cast<uint32_t>(i);
     d.fragCount = static_cast<uint32_t>(chunks.size());
     d.chunk.assign(chunks[i]);
-    std::string bytes = encodeDatagram(d);
     if (link.suspected) {
       // Degraded mode: one shot on the wire, no retransmit state — a
       // dead peer must cost bounded work.  The protocol layers above
       // already turn the resulting silence into timeouts / kPartial.
       suspectSends_.fetch_add(1, std::memory_order_relaxed);
-      transmit(node.fd, to, bytes, transmissionKey(from, to, d.seq, 1, false));
+      transmit(node.fd, to, encodeDatagram(d),
+               transmissionKey(from, to, d.seq, 1, false));
+    } else if (link.backlog.empty() && admitLocked(link, d.seq)) {
+      // Sent now, so it can pay the acks this node owes the peer.
+      const size_t n = std::min(link.owedAcks.size(), kPiggybackAcks);
+      if (n > 0) {
+        d.ackedSeqs.assign(link.owedAcks.begin(), link.owedAcks.begin() + n);
+        link.owedAcks.erase(link.owedAcks.begin(), link.owedAcks.begin() + n);
+        acksPiggybacked_.fetch_add(1, std::memory_order_relaxed);
+      }
+      sendNowLocked(node, link, to, d.seq, encodeDatagram(d));
     } else {
-      enqueueDatagramLocked(node, link, to, d.seq, std::move(bytes));
+      backlogged_.fetch_add(1, std::memory_order_relaxed);
+      link.backlog.push_back(Backlogged{d.seq, encodeDatagram(d), to});
     }
   }
   return id;
@@ -233,14 +249,9 @@ bool UdpContext::admitLocked(const Link& link, uint64_t seq) const {
   return seq - link.unacked.begin()->first < seqSpanLimit_;
 }
 
-void UdpContext::enqueueDatagramLocked(UdpNode& node, Link& link, NodeId peer,
-                                       uint64_t seq, std::string bytes) {
-  if (!admitLocked(link, seq) || !link.backlog.empty()) {
-    backlogged_.fetch_add(1, std::memory_order_relaxed);
-    link.backlog.push_back(Backlogged{seq, std::move(bytes), peer});
-    return;
-  }
-  const TimeMicros now = inner_->now();
+void UdpContext::sendNowLocked(UdpNode& node, Link& link, NodeId peer,
+                               uint64_t seq, std::string bytes) {
+  const TimeMicros now = inner_.now();
   Unacked entry;
   entry.bytes = std::move(bytes);
   entry.peer = peer;
@@ -249,26 +260,16 @@ void UdpContext::enqueueDatagramLocked(UdpNode& node, Link& link, NodeId peer,
   transmit(node.fd, peer, entry.bytes,
            transmissionKey(node.id, peer, seq, attempt, false));
   entry.nextAt = now + entry.budget.nextDelay();
+  kickPacerFor(entry.nextAt);
   link.unacked.emplace(seq, std::move(entry));
-  wakePacer();
 }
 
 void UdpContext::drainBacklogLocked(UdpNode& node, Link& link, NodeId peer) {
   while (!link.backlog.empty() && admitLocked(link, link.backlog.front().seq)) {
     Backlogged b = std::move(link.backlog.front());
     link.backlog.pop_front();
-    const TimeMicros now = inner_->now();
-    Unacked entry;
-    entry.bytes = std::move(b.bytes);
-    entry.peer = peer;
-    entry.budget = RetryBudget(config_.retransmit, b.seq, peer, now);
-    const uint32_t attempt = entry.budget.recordAttempt();
-    transmit(node.fd, peer, entry.bytes,
-             transmissionKey(node.id, peer, b.seq, attempt, false));
-    entry.nextAt = now + entry.budget.nextDelay();
-    link.unacked.emplace(b.seq, std::move(entry));
+    sendNowLocked(node, link, peer, b.seq, std::move(b.bytes));
   }
-  if (!link.unacked.empty()) wakePacer();
 }
 
 bool UdpContext::transmit(int fd, NodeId to, const std::string& bytes,
@@ -295,19 +296,23 @@ bool UdpContext::transmit(int fd, NodeId to, const std::string& bytes,
   return true;
 }
 
-void UdpContext::sendAck(UdpNode& node, NodeId from, NodeId peer,
-                         std::vector<uint64_t> seqs) {
-  Datagram ack;
-  ack.kind = DatagramKind::kAck;
-  ack.from = from;
-  ack.to = peer;
-  ack.ackedSeqs = std::move(seqs);
-  const std::string bytes = encodeDatagram(ack);
-  const uint64_t key = transmissionKey(
-      from, peer, ack.ackedSeqs.empty() ? 0 : ack.ackedSeqs.front(), 1, true);
-  if (transmit(node.fd, peer, bytes, key)) {
-    acksSent_.fetch_add(1, std::memory_order_relaxed);
+void UdpContext::sendOwedAcksLocked(UdpNode& node, Link& link, NodeId peer) {
+  for (size_t off = 0; off < link.owedAcks.size(); off += kAcksPerDatagram) {
+    const size_t end = std::min(link.owedAcks.size(), off + kAcksPerDatagram);
+    Datagram ack;
+    ack.kind = DatagramKind::kAck;
+    ack.from = node.id;
+    ack.to = peer;
+    ack.ackedSeqs.assign(link.owedAcks.begin() + off,
+                         link.owedAcks.begin() + end);
+    // The serial rerolls the loss of an ack sent again for a duplicate.
+    const uint64_t key = transmissionKey(node.id, peer, ack.ackedSeqs.front(),
+                                         ++link.ackSerial, true);
+    if (transmit(node.fd, peer, encodeDatagram(ack), key)) {
+      acksSent_.fetch_add(1, std::memory_order_relaxed);
+    }
   }
+  link.owedAcks.clear();
 }
 
 void UdpContext::noteAliveLocked(Link& link) {
@@ -318,76 +323,79 @@ void UdpContext::noteAliveLocked(Link& link) {
   }
 }
 
-void UdpContext::handleAck(UdpNode& node, const Datagram& d) {
-  acksReceived_.fetch_add(1, std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lk(node.mu);
-  Link& link = linkLocked(node, d.from);
-  for (uint64_t seq : d.ackedSeqs) link.unacked.erase(seq);
-  // Any receipt from the peer — data or ack — is a sign of life.
-  noteAliveLocked(link);
-  drainBacklogLocked(node, link, d.from);
-}
-
-void UdpContext::handleData(UdpNode& node, const Datagram& d) {
+void UdpContext::handleDatagram(UdpNode& node, const Datagram& d) {
   std::optional<Message> completed;
   {
     std::lock_guard<std::mutex> lk(node.mu);
     Link& link = linkLocked(node, d.from);
+    // Any receipt from the peer — data or ack — is a sign of life.
     noteAliveLocked(link);
+    if (!d.ackedSeqs.empty()) {
+      for (uint64_t seq : d.ackedSeqs) link.unacked.erase(seq);
+      drainBacklogLocked(node, link, d.from);
+    }
+    if (d.kind == DatagramKind::kAck) {
+      acksReceived_.fetch_add(1, std::memory_order_relaxed);
+      return;
+    }
     if (link.dedup.accept(d.seq)) {
-      completed = link.reassembler.feed(d, inner_->now());
+      completed = link.reassembler.feed(d, inner_.now());
     } else {
       dedupHits_.fetch_add(1, std::memory_order_relaxed);
     }
+    // Owe an ack for every data datagram, duplicates included: a
+    // duplicate means the original ack was lost, and only a fresh ack
+    // stops the retransmits.
+    if (link.owedAcks.empty()) link.owedSince = node.generation;
+    link.owedAcks.push_back(d.seq);
   }
-  // Ack every data datagram, duplicates included: a duplicate means the
-  // original ack was lost, and only a fresh ack stops the retransmits.
-  sendAck(node, node.id, d.from, {d.seq});
   if (completed) {
     messagesDelivered_.fetch_add(1, std::memory_order_relaxed);
-    inner_->send(std::move(*completed));
+    inner_.send(std::move(*completed));
   }
 }
 
-void UdpContext::rxLoop(NodeId id, UdpNode& node) {
-  std::vector<char> buf(64 * 1024);
-  while (!stop_.load(std::memory_order_acquire)) {
-    pollfd pfd{};
-    pfd.fd = node.fd;
-    pfd.events = POLLIN;
-    const int rc = ::poll(&pfd, 1, /*timeout ms=*/50);
-    if (stop_.load(std::memory_order_acquire)) break;
-    if (rc <= 0 || (pfd.revents & POLLIN) == 0) continue;
-    for (;;) {
-      const ssize_t n =
-          ::recv(node.fd, buf.data(), buf.size(), MSG_DONTWAIT);
-      if (n < 0) break;
-      datagramsReceived_.fetch_add(1, std::memory_order_relaxed);
-      if (node.muted.load(std::memory_order_acquire)) {
-        // Simulated NIC death: drop before the reliability layer looks.
-        mutedDrops_.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-      auto d = decodeDatagram(std::string_view(buf.data(),
-                                               static_cast<size_t>(n)));
-      if (!d) {
-        crcRejects_.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-      if (d->to != id) continue;  // misaddressed
-      if (d->kind == DatagramKind::kAck) {
-        handleAck(node, *d);
-      } else {
-        handleData(node, *d);
-      }
+void UdpContext::drainSocket(UdpNode& node) {
+  ++node.generation;
+  for (int i = 0; i < kDrainBudget; ++i) {
+    const ssize_t n =
+        ::recv(node.fd, node.rxBuf.data(), node.rxBuf.size(), MSG_DONTWAIT);
+    if (n < 0) return;
+    datagramsReceived_.fetch_add(1, std::memory_order_relaxed);
+    if (node.muted.load(std::memory_order_acquire)) {
+      // Simulated NIC death: drop before the reliability layer looks.
+      mutedDrops_.fetch_add(1, std::memory_order_relaxed);
+      continue;
     }
+    auto d = decodeDatagram(
+        std::string_view(node.rxBuf.data(), static_cast<size_t>(n)));
+    if (!d) {
+      crcRejects_.fetch_add(1, std::memory_order_relaxed);
+      continue;
+    }
+    if (d->to != node.id) continue;  // misaddressed
+    handleDatagram(node, *d);
+  }
+}
+
+void UdpContext::flushAcks(UdpNode& node, bool parking) {
+  std::lock_guard<std::mutex> lk(node.mu);
+  for (auto& [peer, link] : node.links) {
+    // After a batch, acks received by this iteration's drain may still
+    // ride the reply the batch deferred to the next iteration.
+    if (link.owedAcks.empty() ||
+        (!parking && link.owedSince == node.generation)) {
+      continue;
+    }
+    sendOwedAcksLocked(node, link, peer);
   }
 }
 
 void UdpContext::pacerLoop() {
   constexpr TimeMicros kMaxSleepMicros = 50'000;
   while (!stop_.load(std::memory_order_acquire)) {
-    const TimeMicros now = inner_->now();
+    pacerWakeAt_.store(kPacerAwake);
+    const TimeMicros now = inner_.now();
     TimeMicros nextWake = now + kMaxSleepMicros;
     for (auto& [id, nodePtr] : nodes_) {
       UdpNode& node = *nodePtr;
@@ -447,9 +455,11 @@ void UdpContext::pacerLoop() {
     std::unique_lock<std::mutex> lk(pacerMu_);
     if (stop_.load(std::memory_order_acquire)) break;
     if (!pacerKick_) {
-      const TimeMicros sleepMicros = std::clamp<TimeMicros>(
-          nextWake - inner_->now(), 500, kMaxSleepMicros);
-      pacerCv_.wait_for(lk, std::chrono::microseconds(sleepMicros));
+      // Published under pacerMu_: a sender that reads this plan and
+      // finds its datagram due sooner kicks after the wait has begun.
+      pacerWakeAt_.store(nextWake);
+      pacerCv_.wait_for(lk, std::chrono::microseconds(nextWake - inner_.now()),
+                        [this] { return pacerKick_; });
     }
     pacerKick_ = false;
   }
@@ -463,12 +473,17 @@ void UdpContext::wakePacer() {
   pacerCv_.notify_one();
 }
 
+void UdpContext::kickPacerFor(TimeMicros nextAt) {
+  if (nextAt < pacerWakeAt_.load()) wakePacer();
+}
+
 Counters UdpContext::counters() const {
   Counters c;
   c.add("udp.datagrams_sent", datagramsSent_.load());
   c.add("udp.datagrams_received", datagramsReceived_.load());
   c.add("udp.retransmits", retransmits_.load());
   c.add("udp.acks_sent", acksSent_.load());
+  c.add("udp.acks_piggybacked", acksPiggybacked_.load());
   c.add("udp.acks_received", acksReceived_.load());
   c.add("udp.dedup_hits", dedupHits_.load());
   c.add("udp.crc_rejects", crcRejects_.load());

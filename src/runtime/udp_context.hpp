@@ -4,24 +4,30 @@
 // behind the same seam the simulator and the in-process channel
 // transport plug into.
 //
-// Layering: UdpContext DECORATES an inner context (in practice the
-// thread-per-node RealtimeContext).  Timers, node registration, worker
-// threads and final in-process delivery stay the inner context's job;
-// UdpContext owns only the wire.  send() serializes the message into
-// CRC32C-framed datagrams (runtime/datagram.hpp), pushes them through
-// the kernel with sendto(), and a per-node receiver thread decodes,
-// deduplicates, reassembles and hands completed messages to
-// inner_->send() — which enqueues them on the destination node's inbox
-// exactly as an in-process send would.  The chaos interposer
-// (FaultfulContext) stacks ON TOP of this context, so fault scripts
-// perturb traffic before it ever reaches the wire, and the kernel's own
-// losses are handled below it.
+// Layering: UdpContext DECORATES a RealtimeContext.  Timers, node
+// registration, worker threads and final in-process delivery stay the
+// inner context's job; UdpContext owns only the wire.  send() serializes
+// the message into CRC32C-framed datagrams (runtime/datagram.hpp) and
+// pushes them through the kernel with sendto().  Each node's socket is
+// attached to that node's own worker (RealtimeContext::attachSocket):
+// the worker waits on it, drains it before each batch, and decodes,
+// deduplicates and reassembles on its own thread, handing completed
+// messages to its own inbox — one thread wake per datagram.  The chaos
+// interposer (FaultfulContext) stacks ON TOP of this context, so fault
+// scripts perturb traffic before it ever reaches the wire, and the
+// kernel's own losses are handled below it.
 //
 // Reliability layer (what makes every existing protocol survive genuine
 // kernel-level loss):
 //   * per-link (from->to) sequence numbers with a sliding dedup window
 //     on the receiver — retransmitted duplicates are invisible;
-//   * ack + retransmit driven by the shared RetryPolicy: capped
+//   * acks ride reverse traffic: a received data datagram (duplicates
+//     included) leaves an ack owed on its link, paid on the next data
+//     datagram sent straight to that peer.  Owed acks go out as one
+//     standalone kAck per link before the worker parks, and after any
+//     batch for acks already owed when that batch's loop iteration began
+//     (so a reply deferred by one iteration still carries the ack);
+//   * retransmit driven by the shared RetryPolicy: capped
 //     exponential backoff with deterministic jitter, an attempt budget
 //     AND a total deadline per datagram (RetryBudget) — exhaustion is
 //     reported through counters and peer-health suspicion, never looped;
@@ -37,18 +43,23 @@
 //     kPartial outcomes the protocol layers already speak — never a
 //     hang.
 //
-// Threads: one receiver per node socket plus one retransmit pacer for
-// the whole context, all spawned by start() and joined by stop().
-// Lifecycle: construct -> registerNode() all nodes (sockets bind here;
-// the address registry is immutable once start() runs) -> start() ->
-// ... -> stop().  stop() is safe before, after, or without the inner
-// context's own stop().
+// Threads: none per node; one retransmit pacer for the whole context,
+// spawned by start() and joined by stop().  The pacer sleeps to the
+// earliest retransmit deadline and publishes when it will wake; a sender
+// kicks it only for a datagram due before then.
+// Lifecycle: construct -> registerNode() all nodes before the inner
+// context starts (sockets bind and attach here; the address registry is
+// immutable once start() runs) -> start() -> ... -> stop().  stop()
+// stops the inner context first (its workers read the sockets), so it is
+// safe before, after, or without the inner context's own stop().  The
+// inner context must outlive this one.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -58,6 +69,7 @@
 #include "common/metrics.hpp"
 #include "runtime/datagram.hpp"
 #include "runtime/execution_context.hpp"
+#include "runtime/realtime_context.hpp"
 #include "runtime/retry.hpp"
 
 namespace retro::runtime {
@@ -104,44 +116,44 @@ struct LinkHealth {
 
 class UdpContext final : public ExecutionContext {
  public:
-  UdpContext(ExecutionContext& inner, UdpConfig config);
+  UdpContext(RealtimeContext& inner, UdpConfig config);
   ~UdpContext() override;
 
   UdpContext(const UdpContext&) = delete;
   UdpContext& operator=(const UdpContext&) = delete;
 
   // --- ExecutionContext (wire interception, everything else delegated) ---
-  TimeMicros now() const override { return inner_->now(); }
+  TimeMicros now() const override { return inner_.now(); }
   void schedule(NodeId owner, TimeMicros delay,
                 std::function<void()> fn) override {
-    inner_->schedule(owner, delay, std::move(fn));
+    inner_.schedule(owner, delay, std::move(fn));
   }
   void scheduleDaemon(NodeId owner, TimeMicros delay,
                       std::function<void()> fn) override {
-    inner_->scheduleDaemon(owner, delay, std::move(fn));
+    inner_.scheduleDaemon(owner, delay, std::move(fn));
   }
   /// First registration of a node binds its UDP socket (127.0.0.1, a
-  /// kernel-assigned port) and records it in the address registry.
+  /// kernel-assigned port), records it in the address registry and
+  /// attaches it to the node's worker; it must precede inner.start().
   /// Re-registration (crash/restart) only swaps the inner handler — the
   /// transport state (sequences, dedup windows) survives, as it would
   /// for a process that restarts behind a stable address.
   void registerNode(NodeId node, Handler handler) override;
-  void disconnect(NodeId node) override { inner_->disconnect(node); }
+  void disconnect(NodeId node) override { inner_.disconnect(node); }
   bool isConnected(NodeId node) const override {
-    return inner_->isConnected(node);
+    return inner_.isConnected(node);
   }
   uint64_t send(Message message) override;
-  bool isRealtime() const override { return inner_->isRealtime(); }
+  bool isRealtime() const override { return true; }
 
   // --- lifecycle ---
-  /// Spawn the per-node receiver threads and the retransmit pacer.
-  /// Call after every registerNode() and before (or right around) the
-  /// inner context's start().  Idempotent.
+  /// Spawn the retransmit pacer and open the wire to send().  Call after
+  /// every registerNode(), before or after the inner context's start().
+  /// Idempotent.
   void start();
-  /// Join every transport thread and close the sockets.  Idempotent;
-  /// the destructor calls it.  Safe relative to the inner context's
-  /// stop() in either order (late deliveries into a stopped inner
-  /// context are simply never drained).
+  /// Stop the inner context (joining the workers that read the sockets),
+  /// join the pacer and close the sockets.  Idempotent; the destructor
+  /// calls it.  Safe before or after the inner context's own stop().
   void stop();
 
   /// Pre-start address override for a peer that lives in another
@@ -153,7 +165,7 @@ class UdpContext final : public ExecutionContext {
   uint16_t portOf(NodeId node) const;
 
   // --- test hooks ---
-  /// Simulate NIC death: while muted, `node`'s receiver discards every
+  /// Simulate NIC death: while muted, `node`'s worker discards every
   /// datagram before the reliability layer sees it — no acks, no
   /// deliveries.  Senders see a silent peer (retransmit -> exhaustion
   /// -> suspicion).  Thread-safe, runtime-mutable.
@@ -174,6 +186,10 @@ class UdpContext final : public ExecutionContext {
   uint64_t lossInjected() const { return lossInjected_.load(); }
   uint64_t messagesDelivered() const { return messagesDelivered_.load(); }
   uint64_t fragmentsSent() const { return fragmentsSent_.load(); }
+  /// Standalone kAck datagrams sent, and data datagrams that carried
+  /// acks on their first transmission instead.
+  uint64_t acksSent() const { return acksSent_.load(); }
+  uint64_t acksPiggybacked() const { return acksPiggybacked_.load(); }
 
   /// Snapshot every transport counter under the "udp.*" / "retry.*"
   /// names (the failure-artifact and bench reporting path).
@@ -206,6 +222,9 @@ class UdpContext final : public ExecutionContext {
     // inbound (peer -> owner)
     DedupWindow dedup;
     Reassembler reassembler;
+    std::vector<uint64_t> owedAcks;  ///< received seqs not yet acked
+    uint64_t owedSince = 0;          ///< drain generation of the oldest
+    uint32_t ackSerial = 0;          ///< standalone acks sent (loss rolls)
 
     Link(size_t window, TimeMicros staleMicros)
         : dedup(window), reassembler(staleMicros) {}
@@ -215,10 +234,12 @@ class UdpContext final : public ExecutionContext {
     NodeId id = 0;
     int fd = -1;
     uint16_t port = 0;
-    std::thread rx;
     mutable std::mutex mu;  ///< guards links
     std::map<NodeId, Link> links;
     std::atomic<bool> muted{false};
+    // Worker-thread only (the node's RealtimeContext worker):
+    uint64_t generation = 0;    ///< socket drains so far
+    std::vector<char> rxBuf;
   };
 
   struct PeerAddr {
@@ -228,22 +249,26 @@ class UdpContext final : public ExecutionContext {
 
   Link& linkLocked(UdpNode& node, NodeId peer);
   bool admitLocked(const Link& link, uint64_t seq) const;
-  void enqueueDatagramLocked(UdpNode& node, Link& link, NodeId peer,
-                             uint64_t seq, std::string bytes);
+  /// First transmission of an admitted datagram; it joins the unacked set.
+  void sendNowLocked(UdpNode& node, Link& link, NodeId peer, uint64_t seq,
+                     std::string bytes);
   void drainBacklogLocked(UdpNode& node, Link& link, NodeId peer);
   /// Loss-roll + sendto(); returns false when the roll ate the packet.
   bool transmit(int fd, NodeId to, const std::string& bytes,
                 uint64_t lossKey);
-  void sendAck(UdpNode& node, NodeId from, NodeId peer,
-               std::vector<uint64_t> seqs);
-  void handleAck(UdpNode& node, const Datagram& d);
-  void handleData(UdpNode& node, const Datagram& d);
+  /// Pay every ack owed on `link` with standalone kAck datagrams.
+  void sendOwedAcksLocked(UdpNode& node, Link& link, NodeId peer);
+  void handleDatagram(UdpNode& node, const Datagram& d);
   void noteAliveLocked(Link& link);
-  void rxLoop(NodeId id, UdpNode& node);
+  /// RealtimeContext::SocketHooks, run on the node's worker.
+  void drainSocket(UdpNode& node);
+  void flushAcks(UdpNode& node, bool parking);
   void pacerLoop();
   void wakePacer();
+  /// Kick the pacer if a datagram is due before it plans to wake.
+  void kickPacerFor(TimeMicros nextAt);
 
-  ExecutionContext* inner_;
+  RealtimeContext& inner_;
   UdpConfig config_;
   size_t seqSpanLimit_;
 
@@ -258,12 +283,18 @@ class UdpContext final : public ExecutionContext {
   std::mutex pacerMu_;
   std::condition_variable pacerCv_;
   bool pacerKick_ = false;
+  /// When the pacer will next scan; "never" while it is scanning, so
+  /// every new datagram then kicks it.
+  static constexpr TimeMicros kPacerAwake =
+      std::numeric_limits<TimeMicros>::max();
+  std::atomic<TimeMicros> pacerWakeAt_{kPacerAwake};
 
   std::atomic<uint64_t> nextMsgId_{1};
   std::atomic<uint64_t> datagramsSent_{0};
   std::atomic<uint64_t> datagramsReceived_{0};
   std::atomic<uint64_t> retransmits_{0};
   std::atomic<uint64_t> acksSent_{0};
+  std::atomic<uint64_t> acksPiggybacked_{0};
   std::atomic<uint64_t> acksReceived_{0};
   std::atomic<uint64_t> dedupHits_{0};
   std::atomic<uint64_t> crcRejects_{0};

@@ -7,12 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "common/random.hpp"
+#include "runtime/deadline.hpp"
 #include "testing/fuzz.hpp"
 
 namespace retro::runtime {
@@ -170,15 +172,26 @@ TEST(ConcurrentWindowStoreStress, MidFlightCutsMatchJournals) {
 
   // Sample cuts while writers are running.  Each cut targets the HLC
   // value current *before* the stateAt call, which the store documents
-  // as a consistent-cut-safe target.
+  // as a consistent-cut-safe target.  Writers may be scheduled late, so
+  // cutting goes on until a cut is sure to see a write (a put finished
+  // before its target was read), under a deadline; of the cuts taken
+  // before any write only the last is kept.
   std::vector<std::pair<hlc::Timestamp, std::unordered_map<Key, Value>>> cuts;
+  bool cutSawWrite = false;
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::microseconds(realtimeDeadlineMicros());
   go.store(true, std::memory_order_release);
-  while (done.load(std::memory_order_acquire) < threadCount) {
-    if (cuts.size() < 64) {  // bound the audit cost on fast machines
+  while (done.load(std::memory_order_acquire) < threadCount || !cutSawWrite) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "no cut saw a write";
+    if (cuts.size() < 64 || !cutSawWrite) {  // bound the audit cost
+      const bool afterWrite = store.puts() > 0;
       const hlc::Timestamp target = store.hlcNow();
       auto cut = store.stateAt(target);
       ASSERT_TRUE(cut.isOk());  // unbounded window: never out of range
+      if (!afterWrite) cuts.clear();
       cuts.emplace_back(target, std::move(cut).value());
+      cutSawWrite = cutSawWrite || afterWrite;
     }
     std::this_thread::yield();
   }

@@ -5,6 +5,8 @@
 // Tr, undo down to the target), so agreement exercises both directions.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "kvstore/cluster.hpp"
 #include "workload/driver.hpp"
 
@@ -480,6 +482,15 @@ struct SnapParam {
   workload::KeyDistribution dist;
   uint64_t seed;
 };
+
+// Prints the fields, not gtest's default byte dump: that dump includes the
+// struct's uninitialised padding, so the test names varied from run to run.
+void PrintTo(const SnapParam& p, std::ostream* os) {
+  static constexpr const char* kDistNames[] = {"uniform", "zipfian",
+                                               "hotspot"};
+  *os << "w" << p.writeFraction << "_"
+      << kDistNames[static_cast<size_t>(p.dist)] << "_seed" << p.seed;
+}
 
 class KvSnapshotSweep : public ::testing::TestWithParam<SnapParam> {};
 

@@ -4,15 +4,19 @@
 // sockets), RetryBudget semantics, and loopback integration tests for
 // runtime::UdpContext itself (delivery, injected-loss recovery,
 // fragmentation over real sockets, dead-peer suspicion and healing,
-// counters).  Hermetic: every socket binds 127.0.0.1 on a
+// acks riding reverse traffic, a stalled receiver, the thread model,
+// stop order, counters).  Hermetic: every socket binds 127.0.0.1 on a
 // kernel-assigned port; all waits draw from RETRO_REALTIME_TIMEOUT_MS
 // via runtime::waitForCondition.
 #include "runtime/udp_context.hpp"
 
 #include <gtest/gtest.h>
 
+#include <dirent.h>
+
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <map>
 #include <mutex>
 #include <random>
@@ -20,6 +24,8 @@
 #include <string>
 #include <vector>
 
+#include "common/bytes.hpp"
+#include "common/checksum.hpp"
 #include "common/random.hpp"
 #include "runtime/datagram.hpp"
 #include "runtime/deadline.hpp"
@@ -87,16 +93,64 @@ TEST(DatagramCodec, AckDatagramRoundTrips) {
   EXPECT_EQ(out->ackedSeqs, a.ackedSeqs);
 }
 
+Datagram dataWithAcks() {
+  Datagram d;
+  d.from = 4;
+  d.to = 5;
+  d.seq = 31;
+  d.fragUid = 8;
+  d.chunk = "reply riding with its acks";
+  d.ackedSeqs = {17, 18, 1ULL << 50};
+  return d;
+}
+
+TEST(DatagramCodec, DataDatagramWithPiggybackedAcksRoundTrips) {
+  const Datagram d = dataWithAcks();
+  auto out = decodeDatagram(encodeDatagram(d));
+  ASSERT_TRUE(out.has_value());
+  EXPECT_EQ(out->kind, DatagramKind::kData);
+  EXPECT_EQ(out->seq, d.seq);
+  EXPECT_EQ(out->fragUid, d.fragUid);
+  EXPECT_EQ(out->ackedSeqs, d.ackedSeqs);
+  EXPECT_EQ(out->chunk, d.chunk);
+}
+
+TEST(DatagramCodec, AckCountOverstatingItsLengthIsRejected) {
+  // Validly framed (the CRC passes), but the ack count promises more
+  // seqs than the payload holds.
+  for (const DatagramKind kind : {DatagramKind::kData, DatagramKind::kAck}) {
+    ByteWriter w;
+    w.writeU8(static_cast<uint8_t>(kind));
+    w.writeU32(1);
+    w.writeU32(2);
+    if (kind == DatagramKind::kData) {
+      w.writeU64(7);  // seq
+      w.writeU64(1);  // fragUid
+      w.writeU32(0);  // fragIndex
+      w.writeU32(1);  // fragCount
+    }
+    w.writeVarU64(3);
+    w.writeU64(11);
+    w.writeU64(12);  // two seqs where three were promised
+    std::string frame;
+    appendFrame(frame, w.view());
+    EXPECT_FALSE(decodeDatagram(frame))
+        << "kind " << static_cast<int>(kind);
+  }
+}
+
 TEST(DatagramCodec, EveryTruncationIsRejected) {
   Datagram d;
   d.from = 1;
   d.to = 2;
   d.seq = 7;
   d.chunk = "some payload bytes";
-  const std::string bytes = encodeDatagram(d);
-  for (size_t len = 0; len < bytes.size(); ++len) {
-    EXPECT_FALSE(decodeDatagram(std::string_view(bytes.data(), len)))
-        << "truncation at " << len << " must not decode";
+  for (const Datagram& each : {d, dataWithAcks()}) {
+    const std::string bytes = encodeDatagram(each);
+    for (size_t len = 0; len < bytes.size(); ++len) {
+      EXPECT_FALSE(decodeDatagram(std::string_view(bytes.data(), len)))
+          << "truncation at " << len << " must not decode";
+    }
   }
 }
 
@@ -107,14 +161,16 @@ TEST(DatagramCodec, EverySingleByteCorruptionIsRejected) {
   d.seq = 7;
   d.fragUid = 3;
   d.chunk = "payload under corruption test";
-  const std::string bytes = encodeDatagram(d);
-  for (size_t i = 0; i < bytes.size(); ++i) {
-    std::string mutated = bytes;
-    mutated[i] ^= 0x40;
-    // A flip in the length prefix can make the frame claim more bytes
-    // than were received (truncated), anywhere else it fails the CRC;
-    // either way nothing decodes.
-    EXPECT_FALSE(decodeDatagram(mutated)) << "flip at byte " << i;
+  for (const Datagram& each : {d, dataWithAcks()}) {
+    const std::string bytes = encodeDatagram(each);
+    for (size_t i = 0; i < bytes.size(); ++i) {
+      std::string mutated = bytes;
+      mutated[i] ^= 0x40;
+      // A flip in the length prefix can make the frame claim more bytes
+      // than were received (truncated), anywhere else it fails the CRC;
+      // either way nothing decodes.
+      EXPECT_FALSE(decodeDatagram(mutated)) << "flip at byte " << i;
+    }
   }
 }
 
@@ -591,6 +647,163 @@ TEST(UdpContext, RegisterAfterStartSwapsHandlerKeepsTransportState) {
   udp.stop();
 }
 
+/// Closed-loop request/reply between nodes 1 and 2: node 1 sends the
+/// next request from the handler that receives the previous reply.
+struct PingPong {
+  static constexpr uint32_t kRequest = 1;
+  static constexpr uint32_t kReply = 2;
+  PingPong(ExecutionContext& c, int r) : ctx(c), rounds(r) {}
+  ExecutionContext& ctx;
+  int rounds;
+  std::atomic<int> replies{0};
+  std::mutex mu;
+  std::map<uint64_t, int> seen;  // msgId -> receipt count, both directions
+
+  void note(const Message& m) {
+    std::lock_guard lk(mu);
+    ++seen[m.msgId];
+  }
+  void request() { ctx.send(Message{1, 2, kRequest, "ping"}); }
+  void install(UdpContext& udp) {
+    udp.registerNode(1, [this](Message&& m) {
+      note(m);
+      if (replies.fetch_add(1) + 1 < rounds) request();
+    });
+    udp.registerNode(2, [this](Message&& m) {
+      note(m);
+      ctx.send(Message{2, 1, kReply, "pong"});
+    });
+  }
+  void expectExactlyOnce() {
+    std::lock_guard lk(mu);
+    EXPECT_EQ(seen.size(), 2u * static_cast<size_t>(rounds));
+    for (auto& [id, n] : seen) EXPECT_EQ(n, 1) << "msgId " << id;
+  }
+};
+
+TEST(UdpContext, PingPongAcksRideReplies) {
+  RealtimeContext inner;
+  UdpContext udp(inner, UdpConfig{});
+  PingPong pp(udp, 300);
+  pp.install(udp);
+  udp.start();
+  inner.start();
+  inner.post(1, [&] { pp.request(); });
+  ASSERT_TRUE(waitForCondition([&] { return pp.replies.load() >= pp.rounds; }));
+  udp.stop();
+  pp.expectExactlyOnce();
+  const uint64_t data = udp.datagramsSent() - udp.acksSent();
+  EXPECT_GE(data, 2u * pp.rounds);
+  EXPECT_LT(udp.acksSent(), data);
+  EXPECT_GT(udp.acksPiggybacked(), 0u);
+  EXPECT_EQ(udp.exhaustions(), 0u);
+}
+
+TEST(UdpContext, LosingAckCarriersCausesNoExhaustion) {
+  UdpConfig config;
+  config.datagramLossProbability = 0.2;
+  config.lossSeed = 11;
+  config.retransmit.maxAttempts = 12;
+  config.retransmit.backoffBaseMicros = 1'000;
+  config.retransmit.backoffCapMicros = 20'000;
+  config.retransmit.totalDeadlineMicros = 0;
+  RealtimeContext inner;
+  UdpContext udp(inner, config);
+  PingPong pp(udp, 200);
+  pp.install(udp);
+  udp.start();
+  inner.start();
+  inner.post(1, [&] { pp.request(); });
+  ASSERT_TRUE(waitForCondition([&] { return pp.replies.load() >= pp.rounds; }));
+  udp.stop();
+  pp.expectExactlyOnce();
+  // Lost data datagrams took their piggybacked acks with them; the
+  // retransmits (and the acks owed again for the duplicates) recovered.
+  EXPECT_GT(udp.lossInjected(), 0u);
+  EXPECT_GT(udp.acksPiggybacked(), 0u);
+  EXPECT_EQ(udp.exhaustions(), 0u);
+  EXPECT_EQ(udp.suspectedLinkCount(), 0u);
+}
+
+TEST(UdpContext, StalledReceiverCausesNoExhaustionOrSuspicion) {
+  // The receiver's worker owns its socket, so while a handler runs no
+  // datagram is read or acked.  Default retransmit budget: a 50 ms
+  // stall must cost retransmits at most, never exhaustion.
+  RealtimeContext inner;
+  UdpContext udp(inner, UdpConfig{});
+  Receiver rx;
+  udp.registerNode(1, [](Message&&) {});
+  udp.registerNode(2, [&rx, h = rx.handler()](Message&& m) mutable {
+    if (rx.count.load() == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    }
+    h(std::move(m));
+  });
+  udp.start();
+  inner.start();
+  const size_t kMessages = 30;
+  for (size_t i = 0; i < kMessages; ++i) {
+    udp.send(Message{1, 2, 7, "slow-" + std::to_string(i)});
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  ASSERT_TRUE(waitForCondition([&] { return rx.count.load() >= kMessages; }));
+  // The idle receiver flushes its acks at once; give them time to land
+  // before the pacer is stopped.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  udp.stop();
+  EXPECT_EQ(rx.count.load(), kMessages);
+  for (auto& [id, n] : rx.byId) EXPECT_EQ(n, 1) << "msgId " << id;
+  EXPECT_GT(udp.retransmits(), 0u);  // the stall was felt...
+  EXPECT_EQ(udp.exhaustions(), 0u);  // ...within the budget
+  EXPECT_EQ(udp.suspectedLinkCount(), 0u);
+}
+
+size_t threadCount() {
+  size_t n = 0;
+  if (DIR* dir = ::opendir("/proc/self/task")) {
+    while (const dirent* e = ::readdir(dir)) {
+      if (e->d_name[0] != '.') ++n;
+    }
+    ::closedir(dir);
+  }
+  return n;
+}
+
+TEST(UdpContext, RunsOneWorkerPerNodeAndOnePacer) {
+  RealtimeContext inner;
+  UdpContext udp(inner, UdpConfig{});
+  Receiver rx;
+  for (NodeId n = 1; n <= 4; ++n) udp.registerNode(n, rx.handler());
+  const size_t before = threadCount();
+  udp.start();
+  inner.start();
+  EXPECT_EQ(threadCount(), before + 4 + 1);  // no receive threads
+  udp.send(Message{1, 4, 7, "still delivered"});
+  ASSERT_TRUE(waitForCondition([&] { return rx.count.load() == 1; }));
+  udp.stop();
+  EXPECT_EQ(threadCount(), before);
+}
+
+TEST(UdpContext, StopWorksBeforeOrAfterInnerStop) {
+  for (const bool innerFirst : {true, false}) {
+    RealtimeContext inner;
+    UdpContext udp(inner, UdpConfig{});
+    Receiver rx;
+    udp.registerNode(1, [](Message&&) {});
+    udp.registerNode(2, rx.handler());
+    udp.start();
+    inner.start();
+    udp.send(Message{1, 2, 7, "before stop"});
+    ASSERT_TRUE(waitForCondition([&] { return rx.count.load() == 1; }));
+    if (innerFirst) inner.stop();
+    udp.stop();  // stops the inner context itself when it still runs
+    inner.stop();
+    udp.stop();
+    EXPECT_EQ(rx.count.load(), 1u) << "innerFirst " << innerFirst;
+    EXPECT_GT(udp.send(Message{1, 2, 7, "late"}), 0u);
+  }
+}
+
 TEST(UdpContext, CountersSnapshotMatchesAccessors) {
   UdpConfig config;
   config.datagramLossProbability = 0.2;
@@ -615,6 +828,8 @@ TEST(UdpContext, CountersSnapshotMatchesAccessors) {
   EXPECT_EQ(c.get("udp.dedup_hits"), udp.dedupHits());
   EXPECT_EQ(c.get("udp.loss_injected"), udp.lossInjected());
   EXPECT_EQ(c.get("udp.messages_delivered"), udp.messagesDelivered());
+  EXPECT_EQ(c.get("udp.acks_sent"), udp.acksSent());
+  EXPECT_EQ(c.get("udp.acks_piggybacked"), udp.acksPiggybacked());
   EXPECT_EQ(c.get("retry.retransmits"), udp.retransmits());
   EXPECT_EQ(c.get("retry.exhausted"), udp.exhaustions());
   EXPECT_EQ(c.get("udp.crc_rejects"), 0u);
