@@ -1,19 +1,17 @@
 // Realtime KV throughput bench: genuine wall-clock, genuine threads.
 //
-// Two sweeps, both over {1, 2, 4} threads:
-//   * data plane — writer threads hammer one ConcurrentWindowStore
-//     (sharded locks + lock-free packed HLC), measuring the window-log
-//     append path the paper's "lightweight" claim rests on;
-//   * full stack — RealtimeKvCluster closed-loop clients drive puts
-//     through the real message transport to replicated servers.
+// RealtimeKvCluster closed-loop clients drive puts through the real
+// message transport to replicated servers, swept over {1, 2, 4} clients;
+// then the same workload over in-process channels vs reliable UDP, and
+// through the chaos plane at rising drop rates.
 //
 // Emits BENCH_realtime_kv.json (schema v1).  Shape checks are
-// hardware-aware: the >1.5x scaling claim is asserted only when the
-// host exposes >= 4 cores (`hw_limited` records the decision); the
-// no-collapse floor — concurrency must not *destroy* throughput — is
-// asserted everywhere.  RETRO_BENCH_SCALE shrinks op counts for smoke
-// runs; absolute numbers are host-dependent by design (this is the one
-// bench family that is NOT simulator-calibrated).
+// hardware-aware: the throughput-grows-with-concurrency claim is
+// asserted only when the host exposes >= 4 cores (`hw_limited` records
+// the decision); the no-collapse floor — concurrency must not *destroy*
+// throughput — is asserted everywhere.  RETRO_BENCH_SCALE shrinks op
+// counts for smoke runs; absolute numbers are host-dependent by design
+// (this is the one bench family that is NOT simulator-calibrated).
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -23,9 +21,7 @@
 #include <vector>
 
 #include "bench/bench_common.hpp"
-#include "common/random.hpp"
 #include "kvstore/realtime_cluster.hpp"
-#include "runtime/concurrent_store.hpp"
 #include "runtime/deadline.hpp"
 
 namespace retro::bench {
@@ -50,54 +46,6 @@ double percentileOf(std::vector<uint32_t>& lat, double q) {
                               static_cast<size_t>(q * (lat.size() - 1)));
   std::nth_element(lat.begin(), lat.begin() + idx, lat.end());
   return static_cast<double>(lat[idx]);
-}
-
-/// Data-plane sweep: `threads` writers, disjoint key ranges, one store.
-SweepPoint runStoreSweep(int threads, int64_t opsPerThread) {
-  runtime::ConcurrentStoreConfig cfg;
-  cfg.shards = 16;
-  runtime::ConcurrentWindowStore store(cfg, [start = Clock::now()] {
-    return std::chrono::duration_cast<std::chrono::milliseconds>(
-               Clock::now() - start)
-        .count();
-  });
-
-  std::vector<std::vector<uint32_t>> latencies(threads);
-  std::atomic<bool> go{false};
-  std::vector<std::thread> workers;
-  for (int t = 0; t < threads; ++t) {
-    workers.emplace_back([&, t] {
-      SplitMix64 rng(100 + t);
-      auto& lat = latencies[t];
-      lat.reserve(opsPerThread);
-      const Value value(64, 'v');
-      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
-      for (int64_t i = 0; i < opsPerThread; ++i) {
-        const Key key =
-            "w" + std::to_string(t) + "-" + std::to_string(rng.next() % 512);
-        const auto before = Clock::now();
-        store.put(key, value);
-        lat.push_back(static_cast<uint32_t>(
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                Clock::now() - before)
-                .count()));
-      }
-    });
-  }
-  const auto start = Clock::now();
-  go.store(true, std::memory_order_release);
-  for (auto& w : workers) w.join();
-  const double elapsed = secondsSince(start);
-
-  std::vector<uint32_t> all;
-  for (auto& lat : latencies) all.insert(all.end(), lat.begin(), lat.end());
-  SweepPoint point;
-  point.threads = threads;
-  point.opsPerSec =
-      static_cast<double>(opsPerThread) * threads / std::max(elapsed, 1e-9);
-  point.p50Micros = percentileOf(all, 0.50);
-  point.p99Micros = percentileOf(all, 0.99);
-  return point;
 }
 
 /// Full-stack sweep: `clients` closed-loop clients over 3 replicated
@@ -254,23 +202,11 @@ int run() {
   report.addMetric("hw_concurrency", static_cast<double>(hw));
   report.setMeta("hw_limited", hwLimited ? "true" : "false");
   report.setMeta("workload",
-                 "store: 64B puts over 512 keys/thread; cluster: closed-loop "
-                 "replicated puts, 3 servers, replicas=2");
+                 "cluster: closed-loop 64B replicated puts, 3 servers, "
+                 "replicas=2");
 
-  const int64_t storeOps = scaled(60'000);
   const int64_t clusterOps = scaled(2'000);
   const int sweep[] = {1, 2, 4};
-
-  std::printf("== data plane: ConcurrentWindowStore, %lld puts/thread ==\n",
-              static_cast<long long>(storeOps));
-  std::vector<SweepPoint> storePoints;
-  for (int threads : sweep) {
-    storePoints.push_back(runStoreSweep(threads, storeOps));
-    const auto& p = storePoints.back();
-    std::printf("  threads=%d  %10.0f ops/s  p50=%.0fus  p99=%.0fus\n",
-                p.threads, p.opsPerSec, p.p50Micros, p.p99Micros);
-    addPoint(report, "store.t" + std::to_string(threads), p);
-  }
 
   std::printf("== full stack: RealtimeKvCluster, %lld puts/client ==\n",
               static_cast<long long>(clusterOps));
@@ -315,24 +251,6 @@ int run() {
   }
 
   // --- shape checks -------------------------------------------------
-  const double store1 = storePoints[0].opsPerSec;
-  const double store4 = storePoints[2].opsPerSec;
-  if (!hwLimited) {
-    shape.check(store4 > 1.5 * store1,
-                "store: 4-thread throughput > 1.5x single-thread "
-                "(hw_concurrency >= 4)");
-  } else {
-    shape.check(true,
-                "store: scaling ratio not asserted (hw_concurrency < 4; "
-                "see hw_limited)");
-  }
-  // Sharded locks + CAS clock must never make concurrency catastrophic,
-  // even time-sliced on one core.
-  shape.check(store4 > 0.35 * store1,
-              "store: no contention collapse at 4 threads (>= 0.35x)");
-  shape.check(storePoints[0].p50Micros <= storePoints[0].p99Micros,
-              "store: latency percentiles ordered (p50 <= p99)");
-
   const double cluster1 = clusterPoints[0].opsPerSec;
   const double cluster4 = clusterPoints[2].opsPerSec;
   shape.check(cluster1 > 0 && cluster4 > 0,

@@ -86,6 +86,19 @@ void GridMember::send(NodeId to, uint32_t type,
   }
 }
 
+template <typename Body>
+void GridMember::dispatch(const sim::Message& msg, hlc::Timestamp remoteTs,
+                          TimeMicros cost, Body body, Handler<Body> handler) {
+  executor_.submit(cost, [this, remoteTs, from = msg.from, msgId = msg.msgId,
+                          body = std::move(body), handler]() mutable {
+    if (config_.mode != Mode::kOriginal) {
+      const hlc::Timestamp ts = retroscope_.timeTick(remoteTs);
+      if (trace_) trace_->onRecv(id_, msgId, ts);
+    }
+    (this->*handler)(from, std::move(body));
+  });
+}
+
 void GridMember::onMessage(sim::Message&& msg) {
   ByteReader r(msg.payload);
   const hlc::Timestamp remoteTs = readHeader(r);
@@ -93,85 +106,33 @@ void GridMember::onMessage(sim::Message&& msg) {
       config_.mode == Mode::kOriginal ? 0 : config_.hlcCpuMicros;
 
   switch (msg.type) {
-    case kMapPut: {
-      auto body = MapPutBody::readFrom(r);
-      const TimeMicros cost =
-          config_.putServiceMicros + hlcCost +
-          (config_.mode == Mode::kFull ? config_.logAppendMicros : 0);
-      executor_.submit(cost, [this, remoteTs, from = msg.from,
-                              msgId = msg.msgId,
-                              body = std::move(body)]() mutable {
-        if (config_.mode != Mode::kOriginal) {
-          const hlc::Timestamp ts = retroscope_.timeTick(remoteTs);
-          if (trace_) trace_->onRecv(id_, msgId, ts);
-        }
-        handlePut(from, std::move(body));
-      });
+    case kMapPut:
+      dispatch(msg, remoteTs,
+               config_.putServiceMicros + hlcCost +
+                   (config_.mode == Mode::kFull ? config_.logAppendMicros : 0),
+               MapPutBody::readFrom(r), &GridMember::handlePut);
       break;
-    }
-    case kMapGet: {
-      auto body = MapGetBody::readFrom(r);
-      executor_.submit(config_.getServiceMicros + hlcCost,
-                       [this, remoteTs, from = msg.from, msgId = msg.msgId,
-                        body = std::move(body)]() mutable {
-                         if (config_.mode != Mode::kOriginal) {
-                           const hlc::Timestamp ts =
-                               retroscope_.timeTick(remoteTs);
-                           if (trace_) trace_->onRecv(id_, msgId, ts);
-                         }
-                         handleGet(from, std::move(body));
-                       });
+    case kMapGet:
+      dispatch(msg, remoteTs, config_.getServiceMicros + hlcCost,
+               MapGetBody::readFrom(r), &GridMember::handleGet);
       break;
-    }
-    case kBackupReplicate: {
-      auto body = BackupReplicateBody::readFrom(r);
-      executor_.submit(config_.backupApplyMicros + hlcCost,
-                       [this, remoteTs, msgId = msg.msgId,
-                        body = std::move(body)]() mutable {
-                         if (config_.mode != Mode::kOriginal) {
-                           const hlc::Timestamp ts =
-                               retroscope_.timeTick(remoteTs);
-                           if (trace_) trace_->onRecv(id_, msgId, ts);
-                         }
-                         handleBackup(std::move(body));
-                       });
+    case kBackupReplicate:
+      dispatch(msg, remoteTs, config_.backupApplyMicros + hlcCost,
+               BackupReplicateBody::readFrom(r), &GridMember::handleBackup);
       break;
-    }
-    case kHeartbeat: {
-      // Health monitoring also goes through the HLC-injecting RPC layer.
-      executor_.submit(5 + hlcCost, [this, remoteTs, msgId = msg.msgId] {
-        if (config_.mode != Mode::kOriginal) {
-          const hlc::Timestamp ts = retroscope_.timeTick(remoteTs);
-          if (trace_) trace_->onRecv(id_, msgId, ts);
-        }
-      });
+    case kHeartbeat:
+      dispatch(msg, remoteTs, 5 + hlcCost, HeartbeatBody::readFrom(r),
+               &GridMember::handleHeartbeat);
       break;
-    }
-    case kSnapshotStart: {
-      auto body = GridSnapshotStartBody::readFrom(r);
-      executor_.submit(200 + hlcCost, [this, remoteTs, from = msg.from,
-                                       msgId = msg.msgId,
-                                       body = std::move(body)]() mutable {
-        if (config_.mode != Mode::kOriginal) {
-          const hlc::Timestamp ts = retroscope_.timeTick(remoteTs);
-          if (trace_) trace_->onRecv(id_, msgId, ts);
-        }
-        handleSnapshotStart(from, std::move(body));
-      });
+    case kSnapshotStart:
+      dispatch(msg, remoteTs, 200 + hlcCost,
+               GridSnapshotStartBody::readFrom(r),
+               &GridMember::handleSnapshotStart);
       break;
-    }
-    case kSnapshotAck: {
-      auto body = GridSnapshotAckBody::readFrom(r);
-      executor_.submit(20 + hlcCost, [this, remoteTs, msgId = msg.msgId,
-                                      body]() {
-        if (config_.mode != Mode::kOriginal) {
-          const hlc::Timestamp ts = retroscope_.timeTick(remoteTs);
-          if (trace_) trace_->onRecv(id_, msgId, ts);
-        }
-        handleSnapshotAck(body);
-      });
+    case kSnapshotAck:
+      dispatch(msg, remoteTs, 20 + hlcCost, GridSnapshotAckBody::readFrom(r),
+               &GridMember::handleSnapshotAck);
       break;
-    }
     default:
       break;
   }
@@ -242,7 +203,7 @@ void GridMember::handleGet(NodeId from, MapGetBody body) {
   send(from, kMapResponse, [&](ByteWriter& w) { resp.writeTo(w); });
 }
 
-void GridMember::handleBackup(BackupReplicateBody body) {
+void GridMember::handleBackup(NodeId /*from*/, BackupReplicateBody body) {
   backups_[body.partition][body.key] = std::move(body.value);
 }
 
@@ -386,7 +347,7 @@ void GridMember::handleSnapshotStart(NodeId from, GridSnapshotStartBody body) {
     ++duplicateSnapshotStarts_;
     if (from == id_) {
       GridSnapshotAckBody ackBody{cached->second};
-      handleSnapshotAck(ackBody);
+      handleSnapshotAck(id_, ackBody);
     } else {
       send(from, kSnapshotAck, [&](ByteWriter& w) {
         GridSnapshotAckBody ackBody{cached->second};
@@ -523,7 +484,7 @@ void GridMember::memberSnapshotDone(core::SnapshotId id) {
     if (!outOfReach) ++snapshotsCompleted_;
     if (initiator == id_) {
       GridSnapshotAckBody body{ack};
-      handleSnapshotAck(body);
+      handleSnapshotAck(id_, body);
     } else {
       send(initiator, kSnapshotAck, [&](ByteWriter& w) {
         GridSnapshotAckBody body{ack};
@@ -549,7 +510,8 @@ void GridMember::memberSnapshotDone(core::SnapshotId id) {
   finish();
 }
 
-void GridMember::handleSnapshotAck(GridSnapshotAckBody body) {
+void GridMember::handleSnapshotAck(NodeId /*from*/,
+                                   GridSnapshotAckBody body) {
   auto it = sessions_.find(body.ack.id);
   if (it == sessions_.end()) return;
   // Cancel any pending resend timer for the answering member.

@@ -159,12 +159,24 @@ class GridMember {
   void send(NodeId to, uint32_t type,
             const std::function<void(ByteWriter&)>& body);
 
+  template <typename Body>
+  using Handler = void (GridMember::*)(NodeId from, Body body);
+  /// Queue `body` behind `cost` of executor time; when it runs, tick the
+  /// HLC with the sender's timestamp (unless Mode::kOriginal), record the
+  /// receive and hand the body to `handler`.
+  template <typename Body>
+  void dispatch(const sim::Message& msg, hlc::Timestamp remoteTs,
+                TimeMicros cost, Body body, Handler<Body> handler);
+
   void handlePut(NodeId from, MapPutBody body);
   void applyPut(NodeId from, const MapPutBody& body, uint32_t partition);
   void handleGet(NodeId from, MapGetBody body);
-  void handleBackup(BackupReplicateBody body);
+  void handleBackup(NodeId from, BackupReplicateBody body);
+  /// Health monitoring goes through the HLC-injecting RPC layer too; the
+  /// receive tick is all a heartbeat does.
+  void handleHeartbeat(NodeId /*from*/, HeartbeatBody /*body*/) {}
   void handleSnapshotStart(NodeId from, GridSnapshotStartBody body);
-  void handleSnapshotAck(GridSnapshotAckBody body);
+  void handleSnapshotAck(NodeId from, GridSnapshotAckBody body);
 
   void runNextPartitionSnapshot(core::SnapshotId id);
   void runPartitionSnapshot(core::SnapshotId id, uint32_t partition);

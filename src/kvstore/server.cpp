@@ -17,6 +17,26 @@ sim::StorageFaultConfig nodeFaultConfig(sim::StorageFaultConfig cfg,
 }
 }  // namespace
 
+template <typename Fn>
+auto VoldemortServer::guarded(Fn fn, bool recovery) {
+  return [this, recovery, inc = incarnation_, fn = std::move(fn)]() mutable {
+    if (alive_ != recovery && incarnation_ == inc) fn();
+  };
+}
+
+template <typename Body>
+void VoldemortServer::dispatch(const sim::Message& msg,
+                               hlc::Timestamp remoteTs, TimeMicros cost,
+                               Body body, Handler<Body> handler) {
+  executor_.submit(
+      cost, guarded([this, remoteTs, from = msg.from, msgId = msg.msgId,
+                     body = std::move(body), handler]() mutable {
+        const hlc::Timestamp eventTs = retroscope_.timeTick(remoteTs);
+        if (trace_) trace_->onRecv(id_, msgId, eventTs);
+        (this->*handler)(eventTs, from, std::move(body));
+      }));
+}
+
 VoldemortServer::VoldemortServer(NodeId id, runtime::ExecutionContext& ctx,
                                  hlc::PhysicalClock& clock,
                                  ServerConfig config)
@@ -136,7 +156,6 @@ void VoldemortServer::restart(std::function<void()> done) {
     if (done) ctx_->schedule(id_, 0, std::move(done));
     return;
   }
-  const uint64_t inc = incarnation_;
   // Recovery cost 1: re-open the store — BDB-JE recovers its in-memory
   // index by reading the log segments back from disk.
   const uint64_t segmentBytes = bdb_->totalSegmentBytes();
@@ -158,34 +177,38 @@ void VoldemortServer::restart(std::function<void()> done) {
         static_cast<double>(segmentBytes + logBytes) *
         config_.integrity.checksumMicrosPerMB / 1e6));
   }
-  disk_->read(segmentBytes + logBytes, [this, inc, replayCpu,
-                                        done = std::move(done)]() mutable {
-    ctx_->schedule(id_, replayCpu, [this, inc, done = std::move(done)] {
-      if (alive_ || incarnation_ != inc) return;  // crashed again meanwhile
-      recoverStorage();
-      // Never issue a timestamp below one issued before the crash, even
-      // if the physical clock restarted behind.
-      retroscope_.clock().restore(maxHlcAtCrash_);
-      alive_ = true;
-      ++recoveries_;
-      ctx_->registerNode(
-          id_, [this](sim::Message&& m) { onMessage(std::move(m)); });
-      updateMemoryModel();
-      if (!quarantine_.empty()) startScrub();
-      if (membershipEnabled() && membershipStarted_ && !left_) {
-        // Re-stamp the suspicion timers (the whole outage would read as
-        // everyone's silence) and resume interrupted rebalances.
-        lastBeat_.clear();
-        onViewChanged(/*gossip=*/true);
-        if (joining_) armJoinTimeout();
-        if (leaving_) {
-          leaving_ = false;
-          beginLeave();
+  // Recover only if still down in this incarnation: not if another
+  // restart came first and the node crashed again meanwhile.
+  auto recover = guarded(
+      [this, done = std::move(done)] {
+        recoverStorage();
+        // Never issue a timestamp below one issued before the crash, even
+        // if the physical clock restarted behind.
+        retroscope_.clock().restore(maxHlcAtCrash_);
+        alive_ = true;
+        ++recoveries_;
+        ctx_->registerNode(
+            id_, [this](sim::Message&& m) { onMessage(std::move(m)); });
+        updateMemoryModel();
+        if (!quarantine_.empty()) startScrub();
+        if (membershipEnabled() && membershipStarted_ && !left_) {
+          // Re-stamp the suspicion timers (the whole outage would read as
+          // everyone's silence) and resume interrupted rebalances.
+          lastBeat_.clear();
+          onViewChanged(/*gossip=*/true);
+          if (joining_) armJoinTimeout();
+          if (leaving_) {
+            leaving_ = false;
+            beginLeave();
+          }
         }
-      }
-      if (done) done();
-    });
-  });
+        if (done) done();
+      },
+      /*recovery=*/true);
+  disk_->read(segmentBytes + logBytes,
+              [this, replayCpu, recover = std::move(recover)]() mutable {
+                ctx_->schedule(id_, replayCpu, std::move(recover));
+              });
 }
 
 void VoldemortServer::restoreFromSnapshot(core::SnapshotId id,
@@ -233,164 +256,69 @@ void VoldemortServer::send(NodeId to, uint32_t type,
 
 void VoldemortServer::onMessage(sim::Message&& msg) {
   if (!alive_) return;
-  // Tasks queued behind the executor check the incarnation as well as
-  // liveness: a message accepted before a crash must not execute inside a
-  // later incarnation after restart.
-  const uint64_t inc = incarnation_;
   ByteReader r(msg.payload);
   const hlc::Timestamp remoteTs = hlc::Timestamp::readFrom(r);
   switch (msg.type) {
     case kPutRequest: {
-      auto body = PutRequestBody::readFrom(r);
       TimeMicros cost = config_.putServiceMicros;
       if (config_.windowLogEnabled) {
         cost += config_.logAppendMicros +
                 static_cast<TimeMicros>(config_.logGcCouplingMicros *
                                         memory_.utilization());
       }
-      executor_.submit(cost, [this, inc, remoteTs, from = msg.from,
-                              msgId = msg.msgId,
-                              body = std::move(body)]() mutable {
-        if (!alive_ || incarnation_ != inc) return;
-        const hlc::Timestamp eventTs = retroscope_.timeTick(remoteTs);
-        if (trace_) trace_->onRecv(id_, msgId, eventTs);
-        handlePut(eventTs, from, std::move(body));
-      });
+      dispatch(msg, remoteTs, cost, PutRequestBody::readFrom(r),
+               &VoldemortServer::handlePut);
       break;
     }
-    case kGetRequest: {
-      auto body = GetRequestBody::readFrom(r);
-      executor_.submit(config_.getServiceMicros,
-                       [this, inc, remoteTs, from = msg.from,
-                        msgId = msg.msgId, body = std::move(body)]() mutable {
-                         if (!alive_ || incarnation_ != inc) return;
-                         const hlc::Timestamp ts =
-                             retroscope_.timeTick(remoteTs);
-                         if (trace_) trace_->onRecv(id_, msgId, ts);
-                         handleGet(from, std::move(body));
-                       });
+    case kGetRequest:
+      dispatch(msg, remoteTs, config_.getServiceMicros,
+               GetRequestBody::readFrom(r), &VoldemortServer::handleGet);
       break;
-    }
-    case kSnapshotRequest: {
-      auto body = SnapshotRequestBody::readFrom(r);
-      executor_.submit(500, [this, inc, remoteTs, from = msg.from,
-                             msgId = msg.msgId,
-                             body = std::move(body)]() mutable {
-        if (!alive_ || incarnation_ != inc) return;
-        const hlc::Timestamp ts = retroscope_.timeTick(remoteTs);
-        if (trace_) trace_->onRecv(id_, msgId, ts);
-        handleSnapshotRequest(from, std::move(body));
-      });
+    case kSnapshotRequest:
+      dispatch(msg, remoteTs, 500, SnapshotRequestBody::readFrom(r),
+               &VoldemortServer::handleSnapshotRequest);
       break;
-    }
-    case kQueryRequest: {
-      auto body = QueryRequestBody::readFrom(r);
-      executor_.submit(300, [this, inc, remoteTs, from = msg.from,
-                             msgId = msg.msgId,
-                             body = std::move(body)]() mutable {
-        if (!alive_ || incarnation_ != inc) return;
-        const hlc::Timestamp ts = retroscope_.timeTick(remoteTs);
-        if (trace_) trace_->onRecv(id_, msgId, ts);
-        handleQueryRequest(from, std::move(body));
-      });
+    case kQueryRequest:
+      dispatch(msg, remoteTs, 300, QueryRequestBody::readFrom(r),
+               &VoldemortServer::handleQueryRequest);
       break;
-    }
-    case kProgressRequest: {
-      auto body = ProgressRequestBody::readFrom(r);
-      executor_.submit(50, [this, inc, remoteTs, from = msg.from,
-                            msgId = msg.msgId, body]() {
-        if (!alive_ || incarnation_ != inc) return;
-        const hlc::Timestamp ts = retroscope_.timeTick(remoteTs);
-        if (trace_) trace_->onRecv(id_, msgId, ts);
-        handleProgressRequest(from, body);
-      });
+    case kProgressRequest:
+      dispatch(msg, remoteTs, 50, ProgressRequestBody::readFrom(r),
+               &VoldemortServer::handleProgressRequest);
       break;
-    }
-    case kRepairRequest: {
-      auto body = RepairRequestBody::readFrom(r);
-      executor_.submit(200, [this, inc, remoteTs, from = msg.from,
-                             msgId = msg.msgId,
-                             body = std::move(body)]() mutable {
-        if (!alive_ || incarnation_ != inc) return;
-        const hlc::Timestamp ts = retroscope_.timeTick(remoteTs);
-        if (trace_) trace_->onRecv(id_, msgId, ts);
-        handleRepairRequest(from, std::move(body));
-      });
+    case kRepairRequest:
+      dispatch(msg, remoteTs, 200, RepairRequestBody::readFrom(r),
+               &VoldemortServer::handleRepairRequest);
       break;
-    }
-    case kRepairResponse: {
-      auto body = RepairResponseBody::readFrom(r);
-      executor_.submit(200, [this, inc, remoteTs, from = msg.from,
-                             msgId = msg.msgId,
-                             body = std::move(body)]() mutable {
-        if (!alive_ || incarnation_ != inc) return;
-        const hlc::Timestamp eventTs = retroscope_.timeTick(remoteTs);
-        if (trace_) trace_->onRecv(id_, msgId, eventTs);
-        handleRepairResponse(eventTs, from, std::move(body));
-      });
+    case kRepairResponse:
+      dispatch(msg, remoteTs, 200, RepairResponseBody::readFrom(r),
+               &VoldemortServer::handleRepairResponse);
       break;
-    }
-    case kGossip: {
-      auto body = GossipBody::readFrom(r);
-      executor_.submit(60, [this, inc, remoteTs, from = msg.from,
-                            msgId = msg.msgId,
-                            body = std::move(body)]() mutable {
-        if (!alive_ || incarnation_ != inc) return;
-        const hlc::Timestamp ts = retroscope_.timeTick(remoteTs);
-        if (trace_) trace_->onRecv(id_, msgId, ts);
-        handleGossip(from, std::move(body));
-      });
+    case kGossip:
+      dispatch(msg, remoteTs, 60, GossipBody::readFrom(r),
+               &VoldemortServer::handleGossip);
       break;
-    }
-    case kJoinRequest: {
-      auto body = JoinRequestBody::readFrom(r);
-      executor_.submit(80, [this, inc, remoteTs, from = msg.from,
-                            msgId = msg.msgId, body]() {
-        if (!alive_ || incarnation_ != inc) return;
-        const hlc::Timestamp ts = retroscope_.timeTick(remoteTs);
-        if (trace_) trace_->onRecv(id_, msgId, ts);
-        handleJoinRequest(from, body);
-      });
+    case kJoinRequest:
+      dispatch(msg, remoteTs, 80, JoinRequestBody::readFrom(r),
+               &VoldemortServer::handleJoinRequest);
       break;
-    }
-    case kJoinResponse: {
-      auto body = JoinResponseBody::readFrom(r);
-      executor_.submit(60, [this, inc, remoteTs, from = msg.from,
-                            msgId = msg.msgId,
-                            body = std::move(body)]() mutable {
-        if (!alive_ || incarnation_ != inc) return;
-        const hlc::Timestamp ts = retroscope_.timeTick(remoteTs);
-        if (trace_) trace_->onRecv(id_, msgId, ts);
-        handleJoinResponse(from, std::move(body));
-      });
+    case kJoinResponse:
+      dispatch(msg, remoteTs, 60, JoinResponseBody::readFrom(r),
+               &VoldemortServer::handleJoinResponse);
       break;
-    }
     case kTransferChunk: {
       auto body = TransferChunkBody::readFrom(r);
       // Applying a chunk costs roughly what the equivalent puts would.
       const TimeMicros cost =
           150 + static_cast<TimeMicros>(body.items.size()) * 20;
-      executor_.submit(cost, [this, inc, remoteTs, from = msg.from,
-                              msgId = msg.msgId,
-                              body = std::move(body)]() mutable {
-        if (!alive_ || incarnation_ != inc) return;
-        const hlc::Timestamp eventTs = retroscope_.timeTick(remoteTs);
-        if (trace_) trace_->onRecv(id_, msgId, eventTs);
-        handleTransferChunk(eventTs, from, std::move(body));
-      });
+      dispatch(msg, remoteTs, cost, std::move(body),
+               &VoldemortServer::handleTransferChunk);
       break;
     }
-    case kTransferAck: {
-      auto body = TransferAckBody::readFrom(r);
-      executor_.submit(50, [this, inc, remoteTs, from = msg.from,
-                            msgId = msg.msgId, body]() {
-        if (!alive_ || incarnation_ != inc) return;
-        const hlc::Timestamp ts = retroscope_.timeTick(remoteTs);
-        if (trace_) trace_->onRecv(id_, msgId, ts);
-        handleTransferAck(from, body);
-      });
+    case kTransferAck:
+      dispatch(msg, remoteTs, 50, TransferAckBody::readFrom(r),
+               &VoldemortServer::handleTransferAck);
       break;
-    }
     default:
       break;  // unknown type: drop
   }
@@ -460,7 +388,8 @@ void VoldemortServer::handlePut(hlc::Timestamp eventTs, NodeId from,
   });
 }
 
-void VoldemortServer::handleGet(NodeId from, GetRequestBody body) {
+void VoldemortServer::handleGet(hlc::Timestamp /*eventTs*/, NodeId from,
+                                GetRequestBody body) {
   ++getsProcessed_;
   GetResponseBody resp;
   resp.requestId = body.requestId;
@@ -491,7 +420,8 @@ void VoldemortServer::updateMemoryModel() {
 // Snapshot execution (Fig. 8)
 // ---------------------------------------------------------------------------
 
-void VoldemortServer::handleSnapshotRequest(NodeId from,
+void VoldemortServer::handleSnapshotRequest(hlc::Timestamp /*eventTs*/,
+                                            NodeId from,
                                             SnapshotRequestBody body) {
   // Idempotency under initiator retries: a request already resolved is
   // re-acked with the original outcome; one still executing is left
@@ -1001,10 +931,8 @@ void VoldemortServer::scrubStep() {
     // daemon so an otherwise-quiesced simulation can still terminate.
     scrubActive_ = false;
     storageCounters_.add("storage.repair_rounds_exhausted");
-    const uint64_t inc = incarnation_;
-    ctx_->scheduleDaemon(id_, config_.integrity.repairRetryMicros, [this, inc] {
-      if (alive_ && incarnation_ == inc) startScrub();
-    });
+    ctx_->scheduleDaemon(id_, config_.integrity.repairRetryMicros,
+                         guarded([this] { startScrub(); }));
     return;
   }
   ++scrubRound_;
@@ -1028,14 +956,12 @@ void VoldemortServer::scrubStep() {
     req.keys = keys;
     send(peer, kRepairRequest, [&](ByteWriter& w) { req.writeTo(w); });
   }
-  const uint64_t inc = incarnation_;
   ctx_->schedule(id_, config_.integrity.repairTimeoutMicros,
-                 [this, inc, generation] {
-                   if (alive_ && incarnation_ == inc && scrubActive_ &&
-                       repairGeneration_ == generation) {
+                 guarded([this, generation] {
+                   if (scrubActive_ && repairGeneration_ == generation) {
                      scrubStep();
                    }
-                 });
+                 }));
 }
 
 void VoldemortServer::completeScrub() {
@@ -1087,7 +1013,8 @@ size_t VoldemortServer::repairCandidateCount(const Key& key) const {
   return count;
 }
 
-void VoldemortServer::handleRepairRequest(NodeId from,
+void VoldemortServer::handleRepairRequest(hlc::Timestamp /*eventTs*/,
+                                          NodeId from,
                                           RepairRequestBody body) {
   storageCounters_.add("storage.repair_requests_served");
   RepairResponseBody resp;
@@ -1150,7 +1077,8 @@ void VoldemortServer::handleRepairResponse(hlc::Timestamp eventTs, NodeId from,
   updateMemoryModel();
 }
 
-void VoldemortServer::handleProgressRequest(NodeId from,
+void VoldemortServer::handleProgressRequest(hlc::Timestamp /*eventTs*/,
+                                            NodeId from,
                                             ProgressRequestBody body) {
   ProgressReplyBody reply;
   reply.snapshotId = body.snapshotId;
@@ -1171,7 +1099,8 @@ void VoldemortServer::handleProgressRequest(NodeId from,
 // Temporal queries (streaming replay over the window-log)
 // ---------------------------------------------------------------------------
 
-void VoldemortServer::handleQueryRequest(NodeId from, QueryRequestBody body) {
+void VoldemortServer::handleQueryRequest(hlc::Timestamp /*eventTs*/,
+                                         NodeId from, QueryRequestBody body) {
   ++queriesServed_;
   QueryReplyBody reply;
   reply.queryId = body.queryId;
@@ -1232,11 +1161,9 @@ void VoldemortServer::handleQueryRequest(NodeId from, QueryRequestBody body) {
       config_.indexProbeMicros *
           static_cast<double>(stats.diffTotals.indexSeeks +
                               stats.diffTotals.keysExamined));
-  const uint64_t inc = incarnation_;
-  executor_.submit(cost, [this, inc, from, reply = std::move(reply)] {
-    if (!alive_ || incarnation_ != inc) return;
+  executor_.submit(cost, guarded([this, from, reply = std::move(reply)] {
     send(from, kQueryReply, [&](ByteWriter& w) { reply.writeTo(w); });
-  });
+  }));
 }
 
 // ---------------------------------------------------------------------------
@@ -1356,7 +1283,8 @@ void VoldemortServer::pushViewTo(NodeId peer) {
   send(peer, kGossip, [&](ByteWriter& w) { body.writeTo(w); });
 }
 
-void VoldemortServer::handleGossip(NodeId /*from*/, GossipBody body) {
+void VoldemortServer::handleGossip(hlc::Timestamp /*eventTs*/,
+                                   NodeId /*from*/, GossipBody body) {
   if (!membershipEnabled() || !membershipStarted_ || left_) return;
   const uint64_t before = view_.epoch();
   if (view_.merge(body.view, id_)) {
@@ -1368,7 +1296,8 @@ void VoldemortServer::handleGossip(NodeId /*from*/, GossipBody body) {
   }
 }
 
-void VoldemortServer::handleJoinRequest(NodeId from, JoinRequestBody body) {
+void VoldemortServer::handleJoinRequest(hlc::Timestamp /*eventTs*/,
+                                        NodeId from, JoinRequestBody body) {
   if (!membershipEnabled() || !membershipStarted_ || left_ || joining_) return;
   const auto status = view_.statusOf(body.node);
   if (status && *status == MemberStatus::kLeft) return;  // terminal
@@ -1382,7 +1311,8 @@ void VoldemortServer::handleJoinRequest(NodeId from, JoinRequestBody body) {
   send(from, kJoinResponse, [&](ByteWriter& w) { resp.writeTo(w); });
 }
 
-void VoldemortServer::handleJoinResponse(NodeId /*from*/,
+void VoldemortServer::handleJoinResponse(hlc::Timestamp /*eventTs*/,
+                                         NodeId /*from*/,
                                          JoinResponseBody body) {
   if (!membershipEnabled() || !joining_ || left_) return;
   view_.merge(body.view, id_);
@@ -1417,16 +1347,15 @@ void VoldemortServer::beginJoin(NodeId seedMember) {
 }
 
 void VoldemortServer::armJoinTimeout() {
-  const uint64_t inc = incarnation_;
-  ctx_->schedule(id_, config_.membership.joinTimeoutMicros, [this, inc] {
-    if (!alive_ || incarnation_ != inc || !joining_) return;
+  ctx_->schedule(id_, config_.membership.joinTimeoutMicros, guarded([this] {
+    if (!joining_) return;
     membershipCounters_.add("membership.join_timeouts");
     const bool abandoned =
         !pendingJoinSources_.empty() || !joinSourcesInitialized_;
     pendingJoinSources_.clear();
     joinSourcesInitialized_ = true;
     activateSelf(/*historyIncomplete=*/abandoned);
-  });
+  }));
 }
 
 void VoldemortServer::activateSelf(bool historyIncomplete) {
@@ -1618,11 +1547,9 @@ void VoldemortServer::sendTransferChunk(uint64_t transferId) {
       config_.membership.transferRetryJitter, t.attempts,
       runtime::retryJitterKey(transferId, t.target, t.attempts));
   const uint64_t gen = ++t.generation;
-  const uint64_t inc = incarnation_;
-  ctx_->schedule(id_, delay, [this, transferId, gen, inc] {
-    if (!alive_ || incarnation_ != inc) return;
+  ctx_->schedule(id_, delay, guarded([this, transferId, gen] {
     transferChunkTimeout(transferId, gen);
-  });
+  }));
 }
 
 void VoldemortServer::transferChunkTimeout(uint64_t transferId,
@@ -1649,7 +1576,8 @@ void VoldemortServer::abortTransfer(uint64_t transferId) {
   if (drain) finishLeaveDrain();
 }
 
-void VoldemortServer::handleTransferAck(NodeId /*from*/, TransferAckBody body) {
+void VoldemortServer::handleTransferAck(hlc::Timestamp /*eventTs*/,
+                                        NodeId /*from*/, TransferAckBody body) {
   auto it = outbound_.find(body.transferId);
   if (it == outbound_.end()) return;
   OutboundTransfer& t = it->second;

@@ -313,13 +313,34 @@ class VoldemortServer {
     uint8_t stage = 0;  // 0 copy, 1 compaction, 2 application, 3 done
   };
 
+  /// Wrap `fn` so it runs only if the node has not crashed in between
+  /// and is then alive — or, for a `recovery` step queued while down,
+  /// still down: work queued before a crash must never act after it.
+  template <typename Fn>
+  auto guarded(Fn fn, bool recovery = false);
+
+  /// A request handler: `eventTs` is the HLC time of the receive event.
+  template <typename Body>
+  using Handler = void (VoldemortServer::*)(hlc::Timestamp eventTs,
+                                            NodeId from, Body body);
+  /// Queue `body` behind `cost` of executor time; when it runs (guarded),
+  /// tick the HLC with the sender's timestamp, record the receive and
+  /// hand the body to `handler`.
+  template <typename Body>
+  void dispatch(const sim::Message& msg, hlc::Timestamp remoteTs,
+                TimeMicros cost, Body body, Handler<Body> handler);
+
   void onMessage(sim::Message&& msg);
   void handlePut(hlc::Timestamp eventTs, NodeId from, PutRequestBody body);
-  void handleGet(NodeId from, GetRequestBody body);
-  void handleSnapshotRequest(NodeId from, SnapshotRequestBody body);
-  void handleQueryRequest(NodeId from, QueryRequestBody body);
-  void handleProgressRequest(NodeId from, ProgressRequestBody body);
-  void handleRepairRequest(NodeId from, RepairRequestBody body);
+  void handleGet(hlc::Timestamp eventTs, NodeId from, GetRequestBody body);
+  void handleSnapshotRequest(hlc::Timestamp eventTs, NodeId from,
+                             SnapshotRequestBody body);
+  void handleQueryRequest(hlc::Timestamp eventTs, NodeId from,
+                          QueryRequestBody body);
+  void handleProgressRequest(hlc::Timestamp eventTs, NodeId from,
+                             ProgressRequestBody body);
+  void handleRepairRequest(hlc::Timestamp eventTs, NodeId from,
+                           RepairRequestBody body);
   void handleRepairResponse(hlc::Timestamp eventTs, NodeId from,
                             RepairResponseBody body);
 
@@ -376,12 +397,15 @@ class VoldemortServer {
   /// React to any change of the local view: re-derive the routing ring,
   /// push the view to the admin, start owed transfers, optionally gossip.
   void onViewChanged(bool gossip);
-  void handleGossip(NodeId from, GossipBody body);
-  void handleJoinRequest(NodeId from, JoinRequestBody body);
-  void handleJoinResponse(NodeId from, JoinResponseBody body);
+  void handleGossip(hlc::Timestamp eventTs, NodeId from, GossipBody body);
+  void handleJoinRequest(hlc::Timestamp eventTs, NodeId from,
+                         JoinRequestBody body);
+  void handleJoinResponse(hlc::Timestamp eventTs, NodeId from,
+                          JoinResponseBody body);
   void handleTransferChunk(hlc::Timestamp eventTs, NodeId from,
                            TransferChunkBody body);
-  void handleTransferAck(NodeId from, TransferAckBody body);
+  void handleTransferAck(hlc::Timestamp eventTs, NodeId from,
+                         TransferAckBody body);
   void maybeStartOutboundTransfers();
   /// Chunk the keys `target` inherits (per `targetRing`) into a stream.
   void startTransferTo(NodeId target, const Ring& targetRing, bool drain);

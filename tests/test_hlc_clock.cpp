@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
+
+#include "common/random.hpp"
+#include "testing/fuzz.hpp"
 
 namespace retro::hlc {
 namespace {
@@ -224,6 +228,139 @@ TEST(HlcClock, EpsilonDisabledByDefault) {
   clock.tick(Timestamp{1'000'000, 0});  // absurdly far ahead
   EXPECT_EQ(clock.epsilonViolations(), 0u);
   EXPECT_EQ(clock.maxRemoteAheadMillis(), 1'000'000);
+}
+
+TEST(HlcClock, RandomEventScriptsMatchOracle) {
+  // Drive one clock through a seeded script of physical-time advances
+  // (some of them jumps), remote merges that may run ahead of physical
+  // time, and local ticks.  Every returned timestamp, (l, c) both, must
+  // equal the one the HLC update rules give, computed here by the test;
+  // so must the logical-counter and drift watermarks.  RETRO_HLC_SEEDS
+  // widens the sweep.
+  const int seeds = testing::seedCountFromEnv("RETRO_HLC_SEEDS", 64);
+  for (int seed = 1; seed <= seeds; ++seed) {
+    SplitMix64 rng(static_cast<uint64_t>(seed));
+    FakePhysicalClock pt;
+    Clock clock(pt);
+
+    Timestamp expected{};
+    uint32_t maxC = 0;
+    int64_t maxDrift = 0;
+    for (int step = 0; step < 2'000; ++step) {
+      const uint64_t draw = rng.next();
+      Timestamp t{};
+      switch (draw % 4) {
+        case 0:  // physical clock advances (sometimes jumps)
+          pt.advance(static_cast<int64_t>(draw >> 32) % 50);
+          continue;
+        case 1: {  // remote timestamp merges (may be ahead of physical)
+          Timestamp remote;
+          remote.l =
+              pt.nowMillis() + static_cast<int64_t>((draw >> 8) % 20) - 5;
+          remote.c = static_cast<uint32_t>((draw >> 40) % 7);
+          const int64_t l = std::max({expected.l, remote.l, pt.nowMillis()});
+          uint32_t c = 0;
+          if (l == expected.l && l == remote.l) {
+            c = std::max(expected.c, remote.c) + 1;
+          } else if (l == expected.l) {
+            c = expected.c + 1;
+          } else if (l == remote.l) {
+            c = remote.c + 1;
+          }
+          expected = Timestamp{l, c};
+          t = clock.tick(remote);
+          break;
+        }
+        default:  // local/send event
+          expected = (pt.nowMillis() > expected.l)
+                         ? Timestamp{pt.nowMillis(), 0}
+                         : Timestamp{expected.l, expected.c + 1};
+          t = clock.tick();
+      }
+      maxC = std::max(maxC, expected.c);
+      maxDrift = std::max(maxDrift, expected.l - pt.nowMillis());
+      ASSERT_EQ(t, expected) << "seed " << seed << " step " << step;
+      ASSERT_EQ(clock.current(), expected)
+          << "seed " << seed << " step " << step;
+    }
+    ASSERT_EQ(clock.maxLogicalObserved(), maxC) << "seed " << seed;
+    ASSERT_EQ(clock.maxDriftMillis(), maxDrift) << "seed " << seed;
+  }
+}
+
+TEST(HlcClock, SkewEpisodesKeepInvariantsAgainstOracle) {
+  // Drive one clock through a seeded script of local ticks, remote
+  // merges, physical-time advances and clock anomalies: forward jumps,
+  // retrograde steps, and skew episodes during which remote timestamps
+  // run far ahead of (or behind) local physical time.  Every event is
+  // checked against values the test computes itself.  RETRO_HLC_SEEDS
+  // widens the sweep.
+  const int seeds = testing::seedCountFromEnv("RETRO_HLC_SEEDS", 32);
+  constexpr int64_t kEps = 8;
+  uint64_t violationsAcrossSweep = 0;
+  for (int seed = 1; seed <= seeds; ++seed) {
+    SplitMix64 rng(static_cast<uint64_t>(seed) * 0x9E3779B9u + 7);
+    FakePhysicalClock pt;
+    pt.set(10'000);
+    Clock clock(pt);
+    clock.setEpsilonMillis(kEps);
+
+    Timestamp prev{};
+    uint64_t violations = 0;
+    int64_t maxAhead = 0;
+    // A skew episode shifts the *remote* world ahead of (or behind) the
+    // local physical clock; episodes open and close as the script runs.
+    int64_t remoteSkew = 0;
+    for (int step = 0; step < 3'000; ++step) {
+      const uint64_t draw = rng.next();
+      Timestamp t{};
+      int64_t expectedL = 0;
+      switch (draw % 8) {
+        case 0:  // normal physical progress
+          pt.advance(static_cast<int64_t>((draw >> 32) % 5));
+          continue;
+        case 1:  // forward jump (NTP step / VM freeze catch-up)
+          pt.advance(static_cast<int64_t>((draw >> 32) % 40));
+          continue;
+        case 2:  // retrograde step (NTP slewing a fast clock backwards)
+          pt.advance(-static_cast<int64_t>((draw >> 32) % 12));
+          continue;
+        case 3:  // skew episode toggles: open one or close it
+          remoteSkew = (remoteSkew == 0)
+                           ? static_cast<int64_t>((draw >> 16) % 30) - 10
+                           : 0;
+          continue;
+        case 4:
+        case 5: {  // remote merge perceived through the current episode
+          Timestamp remote;
+          remote.l = pt.nowMillis() + remoteSkew +
+                     static_cast<int64_t>((draw >> 8) % 6) - 2;
+          remote.c = static_cast<uint32_t>((draw >> 40) % 7);
+          const int64_t ahead = remote.l - pt.nowMillis();
+          if (ahead > kEps) ++violations;
+          maxAhead = std::max(maxAhead, ahead);
+          expectedL = std::max({prev.l, remote.l, pt.nowMillis()});
+          t = clock.tick(remote);
+          break;
+        }
+        default:  // local/send event
+          expectedL = std::max(prev.l, pt.nowMillis());
+          t = clock.tick();
+      }
+      ASSERT_GT(t, prev) << "seed " << seed << " step " << step;
+      ASSERT_EQ(t.l, expectedL) << "seed " << seed << " step " << step;
+      ASSERT_GE(t.l, pt.nowMillis()) << "seed " << seed << " step " << step;
+      ASSERT_EQ(clock.epsilonViolations(), violations)
+          << "seed " << seed << " step " << step;
+      ASSERT_EQ(clock.maxRemoteAheadMillis(), maxAhead)
+          << "seed " << seed << " step " << step;
+      prev = t;
+    }
+    violationsAcrossSweep += violations;
+  }
+  // The sweep is not vacuous: episodes beyond ε actually fired the
+  // detector.
+  EXPECT_GT(violationsAcrossSweep, 0u);
 }
 
 // --- crash recovery: restore() re-seeds from a persisted timestamp ---
