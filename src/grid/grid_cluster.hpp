@@ -19,8 +19,6 @@ namespace retro::grid {
 struct GridConfig {
   size_t members = 3;
   size_t clients = 10;
-  size_t partitions = 271;
-  size_t backups = 1;
   uint64_t seed = 1;
   MemberConfig member;
   sim::NetworkConfig network;

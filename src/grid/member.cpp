@@ -2,9 +2,17 @@
 
 #include <cmath>
 
-#include "runtime/retry.hpp"
-
 namespace retro::grid {
+
+namespace {
+constexpr TimeMicros kBackupApplyMicros = 40;
+/// CPU per message for HLC wrap/unwrap bookkeeping (JVM-calibrated:
+/// parse + tick + re-serialize inside the RPC layer).
+constexpr TimeMicros kHlcCpuMicros = 22;
+/// Window-log per-entry overhead.
+constexpr size_t kLogOverheadBytes = 152;
+constexpr TimeMicros kHeartbeatPeriodMicros = kMicrosPerSecond;
+}  // namespace
 
 GridMember::GridMember(NodeId id, runtime::ExecutionContext& ctx,
                        hlc::PhysicalClock& clock, const PartitionTable& table,
@@ -20,7 +28,7 @@ GridMember::GridMember(NodeId id, runtime::ExecutionContext& ctx,
                       .maxEntries = 0,
                       .maxBytes = 0,  // set per-partition below
                       .maxAgeMillis = 0,
-                      .perEntryOverheadBytes = config.logOverheadBytes,
+                      .perEntryOverheadBytes = kLogOverheadBytes,
                   }),
       idAlloc_(id + 1000) {
   // Pre-create owned partitions and their window-logs, splitting the
@@ -103,7 +111,7 @@ void GridMember::onMessage(sim::Message&& msg) {
   ByteReader r(msg.payload);
   const hlc::Timestamp remoteTs = readHeader(r);
   const TimeMicros hlcCost =
-      config_.mode == Mode::kOriginal ? 0 : config_.hlcCpuMicros;
+      config_.mode == Mode::kOriginal ? 0 : kHlcCpuMicros;
 
   switch (msg.type) {
     case kMapPut:
@@ -117,7 +125,7 @@ void GridMember::onMessage(sim::Message&& msg) {
                MapGetBody::readFrom(r), &GridMember::handleGet);
       break;
     case kBackupReplicate:
-      dispatch(msg, remoteTs, config_.backupApplyMicros + hlcCost,
+      dispatch(msg, remoteTs, kBackupApplyMicros + hlcCost,
                BackupReplicateBody::readFrom(r), &GridMember::handleBackup);
       break;
     case kHeartbeat:
@@ -224,7 +232,7 @@ void GridMember::heartbeatTick() {
     });
   }
   ++heartbeatSeq_;
-  ctx_->scheduleDaemon(id_, config_.heartbeatPeriodMicros,
+  ctx_->scheduleDaemon(id_, kHeartbeatPeriodMicros,
                        [this] { heartbeatTick(); });
 }
 
@@ -295,23 +303,7 @@ void GridMember::onStartTimeout(core::SnapshotId id, NodeId member,
     return;
   }
   if (it->second.attempts < config_.snapshotMaxAttempts) {
-    // Capped backoff before the re-send (shared runtime/retry.hpp
-    // policy); base == 0 keeps the legacy immediate-at-timeout resend.
-    const TimeMicros backoff = runtime::cappedBackoffDelay(
-        config_.snapshotRetryBackoffBaseMicros,
-        config_.snapshotRetryBackoffCapMicros, config_.snapshotRetryJitter,
-        it->second.attempts,
-        runtime::retryJitterKey(id, member, it->second.attempts));
-    if (backoff > 0) {
-      const uint64_t gen = ++it->second.generation;
-      ctx_->schedule(id_, backoff, [this, id, member, gen] {
-        auto jt = pendingStarts_.find({id, member});
-        if (jt == pendingStarts_.end() || jt->second.generation != gen) return;
-        sendSnapshotStart(id, member);
-      });
-    } else {
-      sendSnapshotStart(id, member);
-    }
+    sendSnapshotStart(id, member);
     return;
   }
   pendingStarts_.erase(it);

@@ -6,6 +6,13 @@
 
 namespace retro::kv {
 
+namespace {
+/// Deterministic jitter fraction on the retry backoff.
+constexpr double kRetryJitter = 0.2;
+/// Cap on the per-key version cache (cleared when exceeded).
+constexpr size_t kVersionCacheCap = 200'000;
+}  // namespace
+
 VoldemortClient::VoldemortClient(NodeId id, runtime::ExecutionContext& ctx,
                                  hlc::PhysicalClock& clock, const Ring& ring,
                                  ClientConfig config)
@@ -23,7 +30,7 @@ void VoldemortClient::put(const Key& key, Value value, PutCallback done) {
 
   // Client-side versioning: bump our slot on the last version we saw for
   // this key so replicas can order replayed/raced writes.
-  if (versionCache_.size() > config_.versionCacheCap) versionCache_.clear();
+  if (versionCache_.size() > kVersionCacheCap) versionCache_.clear();
   VersionVector& version = versionCache_[key];
   version.increment(id_);
 
@@ -102,7 +109,7 @@ void VoldemortClient::armTimeout(uint64_t reqId) {
       // policy); base == 0 keeps the legacy immediate re-send.
       const TimeMicros backoff = runtime::cappedBackoffDelay(
           config_.retryBackoffBaseMicros, config_.retryBackoffCapMicros,
-          config_.retryJitter, attempt,
+          kRetryJitter, attempt,
           runtime::retryJitterKey(reqId, id_, attempt));
       if (backoff > 0) {
         ctx_->schedule(id_, backoff, [this, reqId] {

@@ -6,6 +6,11 @@
 
 namespace retro::kv {
 
+namespace {
+/// Shared HLC epoch base so physical components are nonzero.
+constexpr int64_t kEpochBaseMillis = 1'000'000;
+}  // namespace
+
 RealtimeKvCluster::RealtimeKvCluster(RealtimeClusterConfig config)
     : config_(std::move(config)), ctx_(config_.runtime) {
   // One extra slot when the chaos plane is on: the controller node that
@@ -26,7 +31,7 @@ RealtimeKvCluster::RealtimeKvCluster(RealtimeClusterConfig config)
   clocks_.reserve(totalNodes);
   for (size_t i = 0; i < totalNodes; ++i) {
     clocks_.push_back(std::make_unique<runtime::RealtimePhysicalClock>(
-        ctx_, config_.epochBaseMillis, offsets_[i]));
+        ctx_, kEpochBaseMillis, offsets_[i]));
   }
 
   if (config_.transport == TransportKind::kUdpLoopback) {

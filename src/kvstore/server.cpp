@@ -8,6 +8,40 @@
 namespace retro::kv {
 
 namespace {
+/// How close (HLC millis) a running snapshot's target must be for an
+/// incoming full snapshot to be converted to an incremental one.
+constexpr int64_t kConversionWindowMillis = 60'000;
+/// How often the checkpoint daemon folds the window-log journal tail.
+constexpr TimeMicros kCheckpointPeriodMicros = 2 * kMicrosPerSecond;
+/// Scrub/anti-entropy: request rounds attempted before pausing
+/// (quarantined keys keep refusing snapshots, the safe state, and the
+/// scrub retries after kRepairRetryMicros), and the per-round reply wait.
+constexpr size_t kRepairMaxRounds = 6;
+constexpr TimeMicros kRepairTimeoutMicros = 300'000;
+constexpr TimeMicros kRepairRetryMicros = 2 * kMicrosPerSecond;
+
+// Elastic membership (gossip, failure detection, key-range transfer).
+/// Heartbeat + anti-entropy gossip period.
+constexpr TimeMicros kGossipPeriodMicros = 150'000;
+/// Random peers contacted per gossip round.
+constexpr size_t kGossipFanout = 2;
+/// Heartbeat silence before a peer is marked kSuspect / confirmed
+/// kDead.  Suspicion is epidemic: a heartbeat relayed via any third
+/// party resets the timer, so only genuine unreachability confirms.
+constexpr TimeMicros kSuspectAfterMicros = 600'000;
+constexpr TimeMicros kConfirmAfterMicros = 1'200'000;
+/// Keys per transfer chunk (stop-and-wait stream).
+constexpr size_t kTransferChunkKeys = 32;
+/// Un-jittered capped exponential retransmission backoff and attempt
+/// bound per chunk; an exhausted chunk aborts the whole stream.
+constexpr TimeMicros kTransferRetryBaseMicros = 60'000;
+constexpr TimeMicros kTransferRetryCapMicros = 500'000;
+constexpr uint32_t kMaxChunkAttempts = 5;
+/// A joiner activates anyway after this long, abandoning sources that
+/// never finished (their history floor is lost: kRebalancing refusals
+/// below the activation point).
+constexpr TimeMicros kJoinTimeoutMicros = 2'500'000;
+
 /// Per-node corruption fault stream: one shared scenario seed, distinct
 /// deterministic streams per server.
 sim::StorageFaultConfig nodeFaultConfig(sim::StorageFaultConfig cfg,
@@ -63,7 +97,7 @@ VoldemortServer::VoldemortServer(NodeId id, runtime::ExecutionContext& ctx,
                          [this] { archiveTick(); });
   }
   if (config_.recovery.persistWindowLog) {
-    ctx_->scheduleDaemon(id_, config_.recovery.checkpointPeriodMicros,
+    ctx_->scheduleDaemon(id_, kCheckpointPeriodMicros,
                          [this] { checkpointTick(); });
   }
 }
@@ -107,7 +141,7 @@ void VoldemortServer::checkpointTick() {
       if (wal_) wal_->foldIntoCheckpoint();
     }
   }
-  ctx_->scheduleDaemon(id_, config_.recovery.checkpointPeriodMicros,
+  ctx_->scheduleDaemon(id_, kCheckpointPeriodMicros,
                        [this] { checkpointTick(); });
 }
 
@@ -497,7 +531,7 @@ void VoldemortServer::handleSnapshotRequest(hlc::Timestamp /*eventTs*/,
       config_.convertConcurrentSnapshots && !activeSnapshots_.empty()) {
     const auto& running = activeSnapshots_.begin()->second;
     if (std::llabs(running.request.target.l - body.request.target.l) <=
-        config_.conversionWindowMillis) {
+        kConversionWindowMillis) {
       active.request.kind = core::SnapshotKind::kIncremental;
       active.request.baseId = running.request.id;
       ++snapshotsConverted_;
@@ -925,13 +959,13 @@ void VoldemortServer::scrubStep() {
     completeScrub();
     return;
   }
-  if (scrubRound_ >= config_.integrity.repairMaxRounds) {
+  if (scrubRound_ >= kRepairMaxRounds) {
     // Give the cluster time to heal (a crashed replica restarting) and
     // retry; quarantined keys keep refusing snapshots meanwhile.  A
     // daemon so an otherwise-quiesced simulation can still terminate.
     scrubActive_ = false;
     storageCounters_.add("storage.repair_rounds_exhausted");
-    ctx_->scheduleDaemon(id_, config_.integrity.repairRetryMicros,
+    ctx_->scheduleDaemon(id_, kRepairRetryMicros,
                          guarded([this] { startScrub(); }));
     return;
   }
@@ -956,7 +990,7 @@ void VoldemortServer::scrubStep() {
     req.keys = keys;
     send(peer, kRepairRequest, [&](ByteWriter& w) { req.writeTo(w); });
   }
-  ctx_->schedule(id_, config_.integrity.repairTimeoutMicros,
+  ctx_->schedule(id_, kRepairTimeoutMicros,
                  guarded([this, generation] {
                    if (scrubActive_ && repairGeneration_ == generation) {
                      scrubStep();
@@ -1186,7 +1220,7 @@ void VoldemortServer::configureMembership(const MembershipView& genesis,
     lastPushedEpoch_ = view_.epoch();
     onViewChanged(/*gossip=*/false);
   }
-  ctx_->scheduleDaemon(id_, config_.membership.gossipPeriodMicros,
+  ctx_->scheduleDaemon(id_, kGossipPeriodMicros,
                        [this] { membershipTick(); });
 }
 
@@ -1226,13 +1260,13 @@ void VoldemortServer::membershipTick() {
       // into the routable set half-transferred).
       if (rec.status == MemberStatus::kActive ||
           rec.status == MemberStatus::kLeaving) {
-        if (silent >= config_.membership.suspectAfterMicros) {
+        if (silent >= kSuspectAfterMicros) {
           view_.setStatus(node, MemberStatus::kSuspect);
           membershipCounters_.add("membership.suspects_marked");
           changed = true;
         }
       } else if (rec.status == MemberStatus::kSuspect &&
-                 silent >= config_.membership.confirmAfterMicros) {
+                 silent >= kConfirmAfterMicros) {
         view_.setStatus(node, MemberStatus::kDead);
         membershipCounters_.add("membership.deaths_confirmed");
         changed = true;
@@ -1252,7 +1286,7 @@ void VoldemortServer::membershipTick() {
   // Reschedules even while crashed (the daemon survives a restart);
   // stops for good once the node has left.
   if (!left_) {
-    ctx_->scheduleDaemon(id_, config_.membership.gossipPeriodMicros,
+    ctx_->scheduleDaemon(id_, kGossipPeriodMicros,
                          [this] { membershipTick(); });
   }
 }
@@ -1267,8 +1301,7 @@ void VoldemortServer::gossipNow() {
       candidates.push_back(node);
     }
   }
-  const size_t fanout =
-      std::min(config_.membership.gossipFanout, candidates.size());
+  const size_t fanout = std::min(kGossipFanout, candidates.size());
   for (size_t i = 0; i < fanout; ++i) {
     const size_t j =
         i + static_cast<size_t>(gossipRng_.next() % (candidates.size() - i));
@@ -1347,7 +1380,7 @@ void VoldemortServer::beginJoin(NodeId seedMember) {
 }
 
 void VoldemortServer::armJoinTimeout() {
-  ctx_->schedule(id_, config_.membership.joinTimeoutMicros, guarded([this] {
+  ctx_->schedule(id_, kJoinTimeoutMicros, guarded([this] {
     if (!joining_) return;
     membershipCounters_.add("membership.join_timeouts");
     const bool abandoned =
@@ -1493,17 +1526,15 @@ void VoldemortServer::startTransferTo(NodeId target, const Ring& targetRing,
   t.drain = drain;
   const uint64_t tid =
       (static_cast<uint64_t>(id_) << 32) | ++transferCounter_;
-  const size_t chunkKeys =
-      std::max<size_t>(1, config_.membership.transferChunkKeys);
   const hlc::Timestamp floor =
       config_.windowLogEnabled ? wlog.floor() : hlc::Timestamp{};
-  for (size_t i = 0; i < items.size(); i += chunkKeys) {
+  for (size_t i = 0; i < items.size(); i += kTransferChunkKeys) {
     TransferChunkBody chunk;
     chunk.transferId = tid;
     chunk.source = id_;
     chunk.chunkSeq = t.chunks.size();
     chunk.sourceFloor = floor;
-    const size_t end = std::min(items.size(), i + chunkKeys);
+    const size_t end = std::min(items.size(), i + kTransferChunkKeys);
     chunk.items.assign(std::make_move_iterator(items.begin() + i),
                        std::make_move_iterator(items.begin() + end));
     t.chunks.push_back(std::move(chunk));
@@ -1527,7 +1558,7 @@ void VoldemortServer::sendTransferChunk(uint64_t transferId) {
   if (it == outbound_.end() || !alive_) return;
   OutboundTransfer& t = it->second;
   if (t.nextChunk >= t.chunks.size()) return;
-  if (t.totalSends >= static_cast<uint64_t>(config_.membership.maxChunkAttempts) *
+  if (t.totalSends >= static_cast<uint64_t>(kMaxChunkAttempts) *
                           (t.chunks.size() + 2)) {
     // Rewind-loop bound: a receiver that keeps losing its progress
     // cannot hold the stream (and a leaving node's drain) open forever.
@@ -1540,12 +1571,10 @@ void VoldemortServer::sendTransferChunk(uint64_t transferId) {
   const TransferChunkBody& chunk = t.chunks[t.nextChunk];
   send(t.target, kTransferChunk, [&](ByteWriter& w) { chunk.writeTo(w); });
   // Stop-and-wait: arm the retransmission (shared capped exponential
-  // backoff from runtime/retry.hpp; jitter defaults to 0 = legacy).
+  // backoff from runtime/retry.hpp, un-jittered).
   const TimeMicros delay = runtime::cappedBackoffDelay(
-      config_.membership.transferRetryBaseMicros,
-      config_.membership.transferRetryCapMicros,
-      config_.membership.transferRetryJitter, t.attempts,
-      runtime::retryJitterKey(transferId, t.target, t.attempts));
+      kTransferRetryBaseMicros, kTransferRetryCapMicros, /*jitter=*/0,
+      t.attempts, /*jitterKey=*/0);
   const uint64_t gen = ++t.generation;
   ctx_->schedule(id_, delay, guarded([this, transferId, gen] {
     transferChunkTimeout(transferId, gen);
@@ -1556,7 +1585,7 @@ void VoldemortServer::transferChunkTimeout(uint64_t transferId,
                                            uint64_t generation) {
   auto it = outbound_.find(transferId);
   if (it == outbound_.end() || it->second.generation != generation) return;
-  if (it->second.attempts >= config_.membership.maxChunkAttempts) {
+  if (it->second.attempts >= kMaxChunkAttempts) {
     abortTransfer(transferId);
     return;
   }

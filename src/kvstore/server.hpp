@@ -79,8 +79,6 @@ struct ServerConfig {
   /// Convert an incoming full snapshot to an incremental one when
   /// another snapshot is already executing or recently completed nearby.
   bool convertConcurrentSnapshots = true;
-  /// How close (HLC millis) a base must be for conversion.
-  int64_t conversionWindowMillis = 60'000;
 
   // --- memory model ---
   sim::MemoryModelConfig memory{.heapLimitBytes = 8ull << 30};
@@ -115,8 +113,6 @@ struct ServerConfig {
     /// replay.  Off: the window-log restarts empty and the floor rises to
     /// the recovery point — pre-crash targets become out-of-reach.
     bool persistWindowLog = true;
-    /// How often the checkpoint daemon folds the journal tail.
-    TimeMicros checkpointPeriodMicros = 2 * kMicrosPerSecond;
     /// CPU per journal-tail entry replayed at restart.
     double replayMicrosPerEntry = 1.5;
   };
@@ -134,12 +130,6 @@ struct ServerConfig {
     /// on the snapshot copy path and the recovery scan; hardware CRC32C
     /// runs at several GB/s).
     double checksumMicrosPerMB = 150;
-    /// Scrub/anti-entropy: how many request rounds to attempt before
-    /// pausing (quarantined keys keep refusing snapshots — the safe
-    /// state — and the scrub retries after repairRetryMicros).
-    size_t repairMaxRounds = 6;
-    TimeMicros repairTimeoutMicros = 300'000;
-    TimeMicros repairRetryMicros = 2 * kMicrosPerSecond;
   };
   IntegrityOptions integrity;
 

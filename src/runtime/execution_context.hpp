@@ -60,9 +60,6 @@ class ExecutionContext {
   /// the message is later dropped, so causality bookkeeping is simple).
   virtual uint64_t send(Message message) = 0;
 
-  /// True for runtimes where callbacks of different nodes run
-  /// concurrently on real threads.
-  virtual bool isRealtime() const = 0;
 
   /// Convenience: run `fn` on `owner`'s thread as soon as possible.
   void post(NodeId owner, std::function<void()> fn) {

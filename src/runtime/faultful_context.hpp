@@ -78,7 +78,6 @@ class FaultfulContext final : public ExecutionContext {
     return inner_->isConnected(node);
   }
   uint64_t send(Message message) override;
-  bool isRealtime() const override { return inner_->isRealtime(); }
 
   // --- fault controls (thread-safe; scripts call them from timers) ---
   void setDropProbability(double p);

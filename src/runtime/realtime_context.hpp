@@ -73,7 +73,6 @@ class RealtimeContext final : public ExecutionContext {
   void disconnect(NodeId node) override;
   bool isConnected(NodeId node) const override;
   uint64_t send(Message message) override;
-  bool isRealtime() const override { return true; }
 
   // --- realtime lifecycle ---
 

@@ -52,7 +52,6 @@ class SimContext final : public runtime::ExecutionContext {
     return network_->send(std::move(message));
   }
 
-  bool isRealtime() const override { return false; }
 
   SimEnv& env() { return *env_; }
   Network* network() { return network_; }

@@ -5,6 +5,7 @@
 //                     unsynced frame reaches the platter;
 //   * bit rot       — a cold block silently flips a bit, discovered only
 //                     when the block is next read (recovery scrub);
+//                     injected explicitly via injectBitRot();
 //   * transient read errors — a read fails once and succeeds on retry
 //                     (charged as an extra disk pass);
 //   * lying fsyncs  — the drive acks a flush it never performed, so the
@@ -34,11 +35,6 @@ struct StorageFaultConfig {
   /// P(one recovery read fails transiently) evaluated per disk read
   /// issued during recovery (retry = one extra pass over the bytes).
   double readErrorProbability = 0;
-  /// P(cold-block rot is discovered at a restart), with
-  /// `bitRotFraction` of records affected.  Explicit injections via
-  /// injectBitRot() are additive and used by the fuzz fault kinds.
-  double bitRotProbability = 0;
-  double bitRotFraction = 0.01;
 };
 
 class StorageFaultModel {
@@ -71,15 +67,10 @@ class StorageFaultModel {
   bool transientReadError() {
     return decide(config_.readErrorProbability, stats_.readErrors);
   }
-  /// Bit-rot episodes to apply at this restart: the queued injections
-  /// plus at most one probabilistic episode.
+  /// Bit-rot episodes to apply at this restart: the queued injections.
   std::vector<double> takeRotEpisodes() {
     std::vector<double> out = std::move(pendingRot_);
     pendingRot_.clear();
-    uint64_t ignored = 0;
-    if (decide(config_.bitRotProbability, ignored)) {
-      out.push_back(config_.bitRotFraction);
-    }
     stats_.rotEpisodes += out.size();
     return out;
   }

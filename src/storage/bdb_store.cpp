@@ -5,6 +5,9 @@
 namespace retro::store {
 
 namespace {
+/// Per-record on-disk overhead (headers, checksums).
+constexpr size_t kRecordOverheadBytes = 32;
+
 uint32_t recordChecksum(const Key& key, const Value& value) {
   return crc32c(value, crc32c(key));
 }
@@ -19,7 +22,7 @@ BdbStore::BdbStore(runtime::ExecutionContext& ctx, sim::SimDisk& disk,
 
 uint64_t BdbStore::recordBytes(const Key& key, const Value* value) const {
   return key.size() + (value ? value->size() : 0) +
-         config_.recordOverheadBytes;
+         kRecordOverheadBytes;
 }
 
 void BdbStore::put(const Key& key, Value value) {

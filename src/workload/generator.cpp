@@ -4,12 +4,16 @@
 
 namespace retro::workload {
 
+namespace {
+/// Skew of the Zipfian key distribution (YCSB's default).
+constexpr double kZipfTheta = 0.99;
+}  // namespace
+
 OpGenerator::OpGenerator(const WorkloadConfig& config, Rng rng)
     : config_(config), rng_(rng) {
   switch (config_.distribution) {
     case KeyDistribution::kZipfian:
-      zipf_ = std::make_unique<ZipfGenerator>(config_.keySpace,
-                                              config_.zipfTheta);
+      zipf_ = std::make_unique<ZipfGenerator>(config_.keySpace, kZipfTheta);
       break;
     case KeyDistribution::kHotspot:
       hotspot_ = std::make_unique<HotspotGenerator>(

@@ -7,6 +7,8 @@
 // RETRO_FUZZ_SEED=S    replays a single seed for debugging.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "testing/fuzz.hpp"
 #include "testing/shrinker.hpp"
 
@@ -238,21 +240,38 @@ TEST(KvFuzz, InjectedBugProducesCheckerFailures) {
 // complete with FailureReason::kNone).
 //
 // RETRO_CHURN_SEEDS=N  widens/narrows this sweep independently of the
-// other sweeps (default below).
-TEST(KvFuzz, MembershipChurnSweep) {
+// other sweeps (default below).  The seeds are split into kChurnShards
+// contiguous blocks, one test each, so ctest runs them in parallel.
+// Every shard that runs covers at least kMinChurnShardSeeds seeds (all
+// of them when fewer are asked for), and checks the non-vacuity
+// aggregates over its own block; shards left without seeds skip.
+constexpr int kChurnSeeds = 128;
+constexpr int kChurnShards = 4;
+constexpr int kMinChurnShardSeeds = 32;
+
+class MembershipChurnSweep : public ::testing::TestWithParam<int> {};
+
+TEST_P(MembershipChurnSweep, Shard) {
+  const int shard = GetParam();
   ScenarioOptions opts;
   opts.membershipChurn = true;
   if (auto seed = seedOverrideFromEnv()) {
+    if (shard != 0) GTEST_SKIP() << "RETRO_FUZZ_SEED replays in shard 0";
     const Scenario s = generateScenario(*seed, Substrate::kKvStore, opts);
     const FuzzResult r = runKvScenario(s);
     EXPECT_TRUE(r.passed()) << r.failureSummary();
     return;
   }
-  const int seeds = seedCountFromEnv("RETRO_CHURN_SEEDS", 128);
+  const int seeds = seedCountFromEnv("RETRO_CHURN_SEEDS", kChurnSeeds);
+  const int shards =
+      std::clamp(seeds / kMinChurnShardSeeds, 1, kChurnShards);
+  if (shard >= shards) GTEST_SKIP() << "no seeds in this shard";
+  const int first = shard * seeds / shards + 1;
+  const int last = (shard + 1) * seeds / shards;
   uint64_t joins = 0, joinsDone = 0, leaves = 0, leavesDone = 0,
            transfers = 0, keysMoved = 0, grafted = 0, refusals = 0,
            suspects = 0, viewRefreshes = 0, completed = 0, cuts = 0;
-  for (int seed = 1; seed <= seeds; ++seed) {
+  for (int seed = first; seed <= last; ++seed) {
     const Scenario s =
         generateScenario(static_cast<uint64_t>(seed), Substrate::kKvStore,
                          opts);
@@ -277,7 +296,7 @@ TEST(KvFuzz, MembershipChurnSweep) {
     completed += r.snapshotsCompleted;
     cuts += r.report.cutsChecked;
   }
-  // The sweep must actually churn, not vacuously pass: joiners reach
+  // Each block must actually churn, not vacuously pass: joiners reach
   // kActive, key ranges move with their window-log history attached,
   // clients absorb view changes, and snapshots still complete.
   EXPECT_GT(joinsDone, 0u);
@@ -293,6 +312,9 @@ TEST(KvFuzz, MembershipChurnSweep) {
   (void)suspects;
   (void)refusals;  // refusal structure asserted per-run inside the runner
 }
+
+INSTANTIATE_TEST_SUITE_P(KvFuzz, MembershipChurnSweep,
+                         ::testing::Range(0, kChurnShards));
 
 TEST(KvFuzz, ChandyLamportConservationSweep) {
   const int seeds = seedCountFromEnv(16);

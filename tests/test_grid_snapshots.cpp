@@ -4,6 +4,10 @@
 // oracle per partition.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <utility>
+#include <vector>
+
 #include "grid/grid_cluster.hpp"
 #include "workload/driver.hpp"
 
@@ -260,6 +264,67 @@ TEST(GridSnapshots, SnapshotBytesAccounted) {
   ASSERT_TRUE(done);
   // ~3000 items of ~60 bytes (+keys) spread over the members.
   EXPECT_GT(persisted, 3000u * 60);
+}
+
+// A member cut off by a partition never acks: the initiator re-sends the
+// start request at each timeout, with no backoff added, until its
+// attempts run out, then settles for a partial snapshot.
+TEST(GridSnapshots, SilentMemberIsResentAtEachTimeoutThenPartial) {
+  constexpr TimeMicros kTimeout = 200'000;
+  constexpr TimeMicros kStart = kMicrosPerSecond;
+  constexpr NodeId kSilent = 2;
+  GridConfig cfg = snapGrid(17);
+  cfg.heartbeats = false;  // only snapshot traffic reaches the wire
+  cfg.member.snapshotRequestTimeoutMicros = kTimeout;
+  cfg.member.snapshotMaxAttempts = 3;
+  GridCluster cluster(cfg);
+  cluster.preload(300, 60);
+  cluster.network().isolate(kSilent);
+
+  // Every message to the isolated member is blocked at send time, so the
+  // blocked count is the number of start requests sent to it so far.
+  std::vector<std::pair<TimeMicros, uint64_t>> probes;
+  for (TimeMicros t = kStart - 1; t <= kStart + 3 * kTimeout + 1;
+       t += kTimeout) {
+    for (TimeMicros at : {t, t + 2}) {
+      cluster.env().scheduleAt(at, [&cluster, &probes, at] {
+        probes.emplace_back(at, cluster.network().messagesBlocked());
+      });
+    }
+  }
+  bool done = false;
+  core::GlobalSnapshotState state{};
+  std::optional<core::FailureReason> silentReason;
+  uint64_t retries = 0;
+  TimeMicros finishedAt = 0;
+  cluster.env().scheduleAt(kStart, [&] {
+    cluster.member(0).initiateSnapshotNow([&](const core::SnapshotSession& s) {
+      done = true;
+      state = s.state();
+      if (const auto* p = s.findParticipant(kSilent)) silentReason = p->reason;
+      retries = s.totalRetries();
+      finishedAt = s.finishedAt();
+    });
+  });
+  cluster.env().run();
+
+  // Sends at kStart, kStart + T and kStart + 2T; none after.
+  const std::vector<std::pair<TimeMicros, uint64_t>> expected = {
+      {kStart - 1, 0},
+      {kStart + 1, 1},
+      {kStart + kTimeout - 1, 1},
+      {kStart + kTimeout + 1, 2},
+      {kStart + 2 * kTimeout - 1, 2},
+      {kStart + 2 * kTimeout + 1, 3},
+      {kStart + 3 * kTimeout - 1, 3},
+      {kStart + 3 * kTimeout + 1, 3},
+  };
+  EXPECT_EQ(probes, expected);
+  ASSERT_TRUE(done);
+  EXPECT_EQ(state, core::GlobalSnapshotState::kPartial);
+  EXPECT_EQ(silentReason, core::FailureReason::kTimedOut);
+  EXPECT_EQ(retries, 2u);
+  EXPECT_EQ(finishedAt, kStart + 3 * kTimeout);
 }
 
 }  // namespace

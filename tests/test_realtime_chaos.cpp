@@ -836,7 +836,6 @@ struct RecordingContext final : runtime::ExecutionContext {
     sent.push_back(std::move(message));
     return id;
   }
-  bool isRealtime() const override { return false; }
 };
 
 // A duplicate's extra delay is drawn independently of the primary's, so
